@@ -11,24 +11,19 @@ from .words import (
     Word,
     apply_base_change,
     apply_move,
-    multiply,
     parse_word,
-    reduce,
     word_to_text,
 )
 from .intmat import (
     AddMultiple,
     NegateRow,
-    NonCoprimeColumn,
     NotUnimodular,
     RowOpLog,
     SparseIntMatrix,
     SwapRows,
-    ZeroColumn,
     apply_col_ops,
     apply_row_ops,
     kernel_basis,
-    reduce_first_pivot,
     reduce_to_identity,
     smith_normal_form,
 )
@@ -47,7 +42,6 @@ from .presentations import (
 )
 from .complexes import (
     Filtration,
-    NotAGraph,
     SubcomplexSpec,
     TwoComplex,
     chain_complex,
@@ -59,14 +53,12 @@ from .complexes import (
 )
 from .links import (
     BadSelection,
-    ExteriorPresentation,
     NotHomologyTrivialUnit,
     NotOneFull,
     SublinkSelection,
     SurgeryCode,
     build_surgery_code,
     exterior,
-    exterior_group,
     subcomplex_to_sublink,
     sublink_to_subcomplex,
     verify_meridian_correspondence,

@@ -20,7 +20,6 @@ from .complexes import (
     SubcomplexSpec,
     from_presentation,
     homology,
-    is_homologically_contractible,
     subcomplex_complex,
     telescope,
 )
@@ -126,9 +125,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     finite, witness = is_locally_finite(p)
     diag, _, _ = smith_normal_form(exponent_matrix(p))
     unimodular = p.balanced and all(d == 1 for d in diag)
-    complex_ = from_presentation(p)
-    h = homology(complex_)
-    contractible = is_homologically_contractible(complex_)
+    h = homology(from_presentation(p))
+    contractible = h.homologically_contractible
     try:
         trivial_unit: bool | None = is_homology_trivial_unit(p)
     except WindowMismatch:
@@ -328,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="asphere",
         description="Presentation, 2-complex, and ribbon-link workbench.",
     )
-    parser.add_argument("--json", action="store_true", help="emit JSON (the default; kept for scripts)")
     parser.add_argument("--window", type=int, default=None, help="truncation window for streamed presentations")
     parser.add_argument("--seed", type=int, default=None, help="seed recorded for fuzz fixtures")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,15 +4,10 @@ the subcomplex lattice, and the collar telescope over a finite filtration."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .intmat import SparseIntMatrix, rank, smith_normal_form
 from .presentations import Presentation, subpresentation
 from .words import Word
-
-
-class NotAGraph(Exception):
-    """A filtration overlap contains a 2-cell, so no collar can be glued."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,12 @@ class HomologyReport:
     h2: int
     chi: int
 
+    @property
+    def homologically_contractible(self) -> bool:
+        """H0 = Z, H1 = 0 (rank and torsion), H2 = 0: the computable shadow
+        of contractibility."""
+        return self.h0 == 1 and self.h1_rank == 0 and not self.h1_torsion and self.h2 == 0
+
     def to_json(self) -> dict:
         return {
             "H0": self.h0,
@@ -118,10 +119,8 @@ def homology(c: TwoComplex) -> HomologyReport:
 
 
 def is_homologically_contractible(c: TwoComplex) -> bool:
-    """H0 = Z, H1 = 0 (rank and torsion), H2 = 0: the computable shadow of
-    contractibility."""
-    h = homology(c)
-    return h.h0 == 1 and h.h1_rank == 0 and not h.h1_torsion and h.h2 == 0
+    """Whether the homology of `c` is that of a point."""
+    return homology(c).homologically_contractible
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +239,6 @@ def telescope(f: Filtration) -> TwoComplex:
 
     for stage in f.stages[1:]:
         new_rels = sorted(stage.rels - prev.rels)
-        overlap_faces = prev.rels & frozenset(new_rels)
-        if overlap_faces:  # unreachable: the glued piece carries only new faces
-            raise NotAGraph(f"overlap contains faces {sorted(overlap_faces)}")
         if not new_rels and not (stage.gens - prev.gens):
             prev = stage
             continue

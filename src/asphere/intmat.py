@@ -16,14 +16,6 @@ class IndexOutOfWindow(Exception):
     """An elementary operation touched an index outside the window."""
 
 
-class ZeroColumn(Exception):
-    """The pivot column is identically zero."""
-
-
-class NonCoprimeColumn(Exception):
-    """The pivot column entries have gcd > 1: columns are not a basis."""
-
-
 class NotUnimodular(Exception):
     """The window matrix is not invertible over the integers."""
 
@@ -217,131 +209,6 @@ def apply_row_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
     return SparseIntMatrix.from_rows(dense, cols=m.cols)
 
 
-def apply_col_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
-    """Replay the log as column operations on `m`."""
-    dense = [list(col) for col in zip(*m.to_rows())] if m.rows else [[] for _ in range(m.cols)]
-    for op in log:
-        if any(not 1 <= k <= m.cols for k in _op_indices(op)):
-            raise IndexOutOfWindow(f"{op!r} outside {m.cols} declared cols")
-        _apply_op_rows(dense, op)
-    transposed = SparseIntMatrix.from_rows(dense, cols=m.rows)
-    return transposed.transpose()
-
-
-# ---------------------------------------------------------------------------
-# Pivot reduction: bring the first column to e1 and the first row to e1^T by
-# invertible row operations, the constructive Euclid procedure on a window.
-
-
-def _emit(dense: list[list[int]], ops: list[ElementaryOp], op: ElementaryOp) -> None:
-    _apply_op_rows(dense, op)
-    ops.append(op)
-
-
-def _clear_subcolumn(
-    dense: list[list[int]],
-    ops: list[ElementaryOp],
-    pivot_row: int,
-    col: int,
-    on_zero: type[Exception],
-) -> None:
-    """Make column `col` equal e_{pivot_row} on rows >= pivot_row.
-
-    Repeatedly moves the smallest-|entry| row to the pivot position (smallest
-    row index on ties), normalizes its sign, and subtracts floor-quotient
-    multiples from the rows below, until the gcd remains at the pivot.
-    Raises `on_zero` when the subcolumn is identically zero and
-    NonCoprimeColumn when the final pivot exceeds 1.
-    """
-    nrows = len(dense)
-    c = col - 1
-    while True:
-        candidates = [(abs(dense[i][c]), i) for i in range(pivot_row - 1, nrows) if dense[i][c]]
-        if not candidates:
-            raise on_zero(f"column {col} has no nonzero entry at or below row {pivot_row}")
-        _, best = min(candidates)
-        if best != pivot_row - 1:
-            _emit(dense, ops, SwapRows(pivot_row, best + 1))
-        if dense[pivot_row - 1][c] < 0:
-            _emit(dense, ops, NegateRow(pivot_row))
-        pivot = dense[pivot_row - 1][c]
-        for i in range(pivot_row, nrows):
-            v = dense[i][c]
-            if v:
-                q = v // pivot
-                if q:
-                    _emit(dense, ops, AddMultiple(i + 1, pivot_row, -q))
-        if all(dense[i][c] == 0 for i in range(pivot_row, nrows)):
-            break
-    if dense[pivot_row - 1][c] != 1:
-        raise NonCoprimeColumn(
-            f"column {col} entries have gcd {dense[pivot_row - 1][c]} at rows >= {pivot_row}"
-        )
-
-
-def _pivot_stage(dense: list[list[int]], ops: list[ElementaryOp], k: int, cols: int) -> None:
-    """Standardize row k and column k of the window by row operations.
-
-    Column k is cleared by the Euclid loop; when row k still has nonzero
-    entries to the right, the trailing columns are first triangularized
-    (unit pivot on the diagonal, zeros below) so that adding those rows to
-    row k clears it left to right without disturbing earlier columns.
-    """
-    on_zero = ZeroColumn if k == 1 else NonCoprimeColumn
-    _clear_subcolumn(dense, ops, k, k, on_zero)
-    if not any(dense[k - 1][j] for j in range(k, cols)):
-        return
-    if cols > len(dense):
-        raise NonCoprimeColumn("window has more columns than rows; cannot triangularize")
-    for j in range(k + 1, cols + 1):
-        _clear_subcolumn(dense, ops, j, j, NonCoprimeColumn)
-    for j in range(k + 1, cols + 1):
-        v = dense[k - 1][j - 1]
-        if v:
-            _emit(dense, ops, AddMultiple(k, j, -v))
-
-
-def reduce_first_pivot(c: SparseIntMatrix) -> tuple[RowOpLog, SparseIntMatrix]:
-    """Reduce the window so the result is the block sum (1) (+) C'.
-
-    Requires the nonzero entries of column 1 to be coprime; raises
-    ZeroColumn when column 1 vanishes and NonCoprimeColumn when a prime
-    divides the whole column (the columns then cannot form a basis).
-    """
-    if c.cols < 1:
-        raise ZeroColumn("window has no columns")
-    dense = c.to_rows()
-    ops: list[ElementaryOp] = []
-    _pivot_stage(dense, ops, 1, c.cols)
-    return RowOpLog(tuple(ops)), SparseIntMatrix.from_rows(dense, cols=c.cols)
-
-
-def reduce_to_identity(c: SparseIntMatrix) -> RowOpLog:
-    """Row operations turning a unimodular window into the identity.
-
-    Iterates the pivot reduction over trailing blocks; raises NotUnimodular
-    when any stage meets a zero or non-coprime pivot column, or when the
-    window is not square.
-    """
-    if c.rows != c.cols:
-        raise NotUnimodular(f"window is {c.rows}x{c.cols}, not square")
-    dense = c.to_rows()
-    ops: list[ElementaryOp] = []
-    try:
-        for k in range(1, c.rows + 1):
-            _pivot_stage(dense, ops, k, c.cols)
-    except (ZeroColumn, NonCoprimeColumn) as exc:
-        raise NotUnimodular(str(exc)) from exc
-    result = SparseIntMatrix.from_rows(dense, cols=c.cols)
-    if not result.is_identity():
-        raise NotUnimodular("window did not reduce to the identity")
-    return RowOpLog(tuple(ops))
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form with replayable row and column logs.
-
-
 def _apply_col_op(dense: list[list[int]], op: ElementaryOp) -> None:
     if isinstance(op, SwapRows):
         for row in dense:
@@ -352,6 +219,88 @@ def _apply_col_op(dense: list[list[int]], op: ElementaryOp) -> None:
     else:
         for row in dense:
             row[op.target - 1] += op.coeff * row[op.source - 1]
+
+
+def apply_col_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
+    """Replay the log as column operations on `m`."""
+    dense = m.to_rows()
+    for op in log:
+        if any(not 1 <= k <= m.cols for k in _op_indices(op)):
+            raise IndexOutOfWindow(f"{op!r} outside {m.cols} declared cols")
+        _apply_col_op(dense, op)
+    return SparseIntMatrix.from_rows(dense, cols=m.cols)
+
+
+# ---------------------------------------------------------------------------
+# Unimodular reduction: the constructive Euclid procedure on a window, by
+# invertible row operations only.
+
+
+def _emit(dense: list[list[int]], ops: list[ElementaryOp], op: ElementaryOp) -> None:
+    _apply_op_rows(dense, op)
+    ops.append(op)
+
+
+def _clear_subcolumn(dense: list[list[int]], ops: list[ElementaryOp], k: int) -> None:
+    """Make column k equal e_k on rows >= k.
+
+    Repeatedly moves the smallest-|entry| row to row k (smallest row index
+    on ties), normalizes its sign, and subtracts floor-quotient multiples
+    from the rows below, until the gcd remains at the pivot.  Raises
+    NotUnimodular when the subcolumn is identically zero or its gcd
+    exceeds 1.
+    """
+    nrows = len(dense)
+    c = k - 1
+    while True:
+        candidates = [(abs(dense[i][c]), i) for i in range(c, nrows) if dense[i][c]]
+        if not candidates:
+            raise NotUnimodular(f"column {k} has no nonzero entry at or below row {k}")
+        _, best = min(candidates)
+        if best != c:
+            _emit(dense, ops, SwapRows(k, best + 1))
+        if dense[c][c] < 0:
+            _emit(dense, ops, NegateRow(k))
+        pivot = dense[c][c]
+        for i in range(k, nrows):
+            v = dense[i][c]
+            if v:
+                q = v // pivot
+                if q:
+                    _emit(dense, ops, AddMultiple(i + 1, k, -q))
+        if all(dense[i][c] == 0 for i in range(k, nrows)):
+            break
+    if dense[c][c] != 1:
+        raise NotUnimodular(f"column {k} entries have gcd {dense[c][c]} at rows >= {k}")
+
+
+def reduce_to_identity(c: SparseIntMatrix) -> RowOpLog:
+    """Row operations turning a unimodular window into the identity.
+
+    Phase 1 clears each column below a unit pivot, left to right; phase 2
+    clears each row right of its pivot, top to bottom, by adding multiples
+    of the rows below.  Raises NotUnimodular when the window is not square
+    or a column has a zero or non-unit gcd below the diagonal.
+    """
+    if c.rows != c.cols:
+        raise NotUnimodular(f"window is {c.rows}x{c.cols}, not square")
+    n = c.rows
+    dense = c.to_rows()
+    ops: list[ElementaryOp] = []
+    for k in range(1, n + 1):
+        _clear_subcolumn(dense, ops, k)
+    for k in range(1, n + 1):
+        for j in range(k + 1, n + 1):
+            v = dense[k - 1][j - 1]
+            if v:
+                _emit(dense, ops, AddMultiple(k, j, -v))
+    if not SparseIntMatrix.from_rows(dense, cols=n).is_identity():
+        raise NotUnimodular("window did not reduce to the identity")
+    return RowOpLog(tuple(ops))
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form with replayable row and column logs.
 
 
 def smith_normal_form(
@@ -442,13 +391,15 @@ def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
     """Integer vectors spanning the rational kernel of the window matrix.
 
     The column log of the SNF, replayed on the identity, sends standard
-    basis vectors at zero-diagonal positions to kernel vectors of `m`.
+    basis vectors at zero-diagonal positions to kernel vectors of `m`; the
+    replay runs on the transpose, whose rows are those vectors.
     """
     diagonal, _, col_log = smith_normal_form(m)
-    change = apply_col_ops(col_log, SparseIntMatrix.identity(m.cols))
-    basis: list[tuple[int, ...]] = []
-    for k in range(1, m.cols + 1):
-        if k > len(diagonal) or diagonal[k - 1] == 0:
-            vec = tuple(change.get(i, k) for i in range(1, m.cols + 1))
-            basis.append(vec)
-    return basis
+    vectors = SparseIntMatrix.identity(m.cols).to_rows()
+    for op in col_log:
+        _apply_op_rows(vectors, op)
+    return [
+        tuple(vectors[k])
+        for k in range(m.cols)
+        if k >= len(diagonal) or diagonal[k] == 0
+    ]

@@ -10,7 +10,6 @@ correspond bijectively to 1-full subcomplexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .complexes import SubcomplexSpec
 from .presentations import Presentation, WindowMismatch, is_homology_trivial_unit
@@ -63,20 +62,6 @@ class SurgeryCode:
 
 
 @dataclass(frozen=True)
-class ExteriorPresentation:
-    """Free exterior group data: rank plus one meridian word per component."""
-
-    free_rank: int
-    meridians: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "meridians", tuple(self.meridians))
-        for j, w in enumerate(self.meridians, start=1):
-            if w.max_index() > self.free_rank:
-                raise ValueError(f"meridian {j} exceeds the free rank")
-
-
-@dataclass(frozen=True)
 class SublinkSelection:
     """The component indices whose disk bundles are glued back."""
 
@@ -99,11 +84,6 @@ def build_surgery_code(p: Presentation) -> SurgeryCode:
     if not ok:
         raise NotHomologyTrivialUnit("exponent matrix is not the identity")
     return SurgeryCode(p.n_generators, p.relators)
-
-
-def exterior_group(sc: SurgeryCode) -> ExteriorPresentation:
-    """The free exterior group with the meridian word of each component."""
-    return ExteriorPresentation(sc.n_handles, sc.components)
 
 
 def _check_selection(sc: SurgeryCode, sel: SublinkSelection) -> None:

@@ -50,24 +50,6 @@ class CosetTable:
             coset = self.act(coset, letter)
         return coset
 
-    def representatives(self) -> tuple[Word, ...]:
-        """Breadth-first representative word per coset, from coset 1."""
-        if not self.is_complete:
-            raise IncompleteTable("cannot take representatives of an overflow table")
-        reps: dict[int, Word] = {1: Word()}
-        queue = deque([1])
-        order = [
-            Letter(i, s) for i in range(1, self.n_generators + 1) for s in (1, -1)
-        ]
-        while queue:
-            c = queue.popleft()
-            for letter in order:
-                image = self.act(c, letter)
-                if image not in reps:
-                    reps[image] = reps[c] * Word((letter,))
-                    queue.append(image)
-        return tuple(reps[c] for c in range(1, self.n_cosets + 1))
-
 
 class _Overflow(Exception):
     pass
@@ -213,19 +195,19 @@ def lifted_boundary(p: Presentation, t: CosetTable) -> SparseIntMatrix:
     """Block matrix of the derivatives under the left-regular representation.
 
     Block (i, j) realizes d(r_j)/d(x_i) on the N cosets of a complete
-    table; with N = 1 this collapses to the exponent matrix.
+    table: the lift of face j based at coset g carries the Fox term w on
+    the lift of edge i based at g.w.  With N = 1 this collapses to the
+    exponent matrix.
     """
     if not t.is_complete:
         raise IncompleteTable("lifted boundary needs a complete coset table")
     n, m, size = p.n_generators, len(p.relators), t.n_cosets
-    reps = t.representatives()
     entries: dict[tuple[int, int], int] = {}
     for j, r in enumerate(p.relators, start=1):
         for i in range(1, n + 1):
             for w, coeff in fox_derivative(r, i).items():
-                base = t.trace(1, w)
                 for alpha in range(1, size + 1):
-                    target = t.trace(base, reps[alpha - 1])
+                    target = t.trace(alpha, w)
                     key = ((i - 1) * size + target, (j - 1) * size + alpha)
                     v = entries.get(key, 0) + coeff
                     if v:
@@ -262,11 +244,12 @@ class Verdict:
 def asphericity_verdict(p: Presentation, limit: int) -> Verdict:
     """Sound falsification probe.
 
-    A nonzero rational kernel of the lifted boundary over a completed table
-    is a second-homotopy witness (re-multiplied through the matrix before it
-    is reported).  A zero kernel certifies asphericity only when the group
-    is trivial; a finite nontrivial quotient with zero kernel, or overflow,
-    stays inconclusive.
+    A completed table enumerates the finite fundamental group G, so the
+    rational kernel of the lifted boundary is H2 of the universal cover, of
+    rank |G|.chi - 1 by the Euler identity; that rank is checked.  A nonzero
+    kernel is a second-homotopy witness (re-multiplied through the matrix
+    before it is reported); a zero kernel forces G trivial and certifies
+    asphericity.  Overflow stays inconclusive.
     """
     if not p.relators:
         return Verdict("aspherical", None, None, None, "no 2-cells: the complex is a graph")
@@ -277,25 +260,22 @@ def asphericity_verdict(p: Presentation, limit: int) -> Verdict:
         )
     boundary = lifted_boundary(p, t)
     basis = kernel_basis(boundary)
-    if basis:
-        witness = basis[0]
-        if any(mat_vec(boundary, witness)):
-            raise AssertionError("kernel witness failed re-multiplication")
-        return Verdict(
-            "not_aspherical",
-            t.n_cosets,
-            len(basis),
-            witness,
-            "lifted boundary has nonzero rational kernel",
+    euler = t.n_cosets * (1 - p.n_generators + len(p.relators)) - 1
+    if len(basis) != euler:
+        raise AssertionError(
+            f"kernel rank {len(basis)} breaks the Euler identity |G|.chi - 1 = {euler}"
         )
-    if t.n_cosets == 1:
+    if not basis:
         return Verdict(
             "aspherical", 1, 0, None, "trivial group and injective lifted boundary"
         )
+    witness = basis[0]
+    if any(mat_vec(boundary, witness)):
+        raise AssertionError("kernel witness failed re-multiplication")
     return Verdict(
-        "inconclusive",
+        "not_aspherical",
         t.n_cosets,
-        0,
-        None,
-        "finite nontrivial fundamental group with zero rational kernel",
+        len(basis),
+        witness,
+        "lifted boundary has nonzero rational kernel",
     )

@@ -81,16 +81,6 @@ class Word:
         return f"Word({word_to_text(self)!r})"
 
 
-def reduce(raw: Sequence[Letter]) -> Word:
-    """Freely reduce a raw letter sequence."""
-    return Word(tuple(raw))
-
-
-def multiply(u: Word, v: Word) -> Word:
-    """Product of two words, freely reduced."""
-    return u * v
-
-
 # ---------------------------------------------------------------------------
 # Shared text syntax: whitespace-separated tokens `g<k>`, `g<k>^-1`,
 # `g<k>^<int>`; the empty word is spelled `1`.  Generator aliases may replace

@@ -1,4 +1,4 @@
-"""Sparse windows, elementary op logs, pivot reduction, and Smith form."""
+"""Sparse windows, elementary op logs, unimodular reduction, and Smith form."""
 
 import random
 
@@ -12,15 +12,13 @@ from asphere import (
     RowOpLog,
     SparseIntMatrix,
     SwapRows,
-    ZeroColumn,
     apply_col_ops,
     apply_row_ops,
     kernel_basis,
-    reduce_first_pivot,
     reduce_to_identity,
     smith_normal_form,
 )
-from asphere.intmat import IndexOutOfWindow, NonCoprimeColumn, mat_vec, rank
+from asphere.intmat import IndexOutOfWindow, mat_vec, rank
 
 from support import random_non_unimodular, random_row_ops, random_unimodular
 
@@ -92,28 +90,28 @@ class TestElementaryOps:
 
 class TestPivotReduction:
     def test_plain_euclid_column(self):
-        log, out = reduce_first_pivot(M([[4], [7]]))
-        assert out == M([[1], [0]])
-        assert apply_row_ops(log, M([[4], [7]])) == out
+        m = M([[4, 1], [7, 2]])
+        log = reduce_to_identity(m)
+        assert log.ops[:3] == (AddMultiple(2, 1, -1), SwapRows(1, 2), AddMultiple(2, 1, -1))
+        assert apply_row_ops(log, m).is_identity()
 
     def test_frozen_swap_negate_example(self):
-        log, out = reduce_first_pivot(M([[0, -1], [-1, 0]]))
-        assert log == RowOpLog((SwapRows(1, 2), NegateRow(1)))
-        assert out == M([[1, 0], [0, -1]])
+        log = reduce_to_identity(M([[0, -1], [-1, 0]]))
+        assert log == RowOpLog((SwapRows(1, 2), NegateRow(1), NegateRow(2)))
 
     def test_clears_first_row_when_needed(self):
-        log, out = reduce_first_pivot(M([[1, 5], [0, 1]]))
-        assert out.get(1, 1) == 1
-        assert out.get(1, 2) == 0
-        assert apply_row_ops(log, M([[1, 5], [0, 1]])) == out
+        log = reduce_to_identity(M([[1, 5, 2], [0, 1, 3], [0, 0, 1]]))
+        assert log == RowOpLog(
+            (AddMultiple(1, 2, -5), AddMultiple(1, 3, 13), AddMultiple(2, 3, -3))
+        )
 
     def test_zero_column(self):
-        with pytest.raises(ZeroColumn):
-            reduce_first_pivot(M([[0, 1], [0, 2]]))
+        with pytest.raises(NotUnimodular, match="column 2 has no nonzero entry at or below row 2"):
+            reduce_to_identity(M([[1, 1], [1, 1]]))
 
     def test_non_coprime_column(self):
-        with pytest.raises(NonCoprimeColumn):
-            reduce_first_pivot(M([[2], [4]]))
+        with pytest.raises(NotUnimodular, match="column 1 entries have gcd 2 at rows >= 1"):
+            reduce_to_identity(M([[2, 1], [4, 3]]))
 
     def test_log_replays_to_result_fuzz(self):
         rng = random.Random(5)
@@ -121,13 +119,10 @@ class TestPivotReduction:
             n = rng.randint(1, 5)
             m = M([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
             try:
-                log, out = reduce_first_pivot(m)
-            except (ZeroColumn, NonCoprimeColumn):
+                log = reduce_to_identity(m)
+            except NotUnimodular:
                 continue
-            assert apply_row_ops(log, m) == out
-            assert out.get(1, 1) == 1
-            for i in range(2, n + 1):
-                assert out.get(i, 1) == 0
+            assert apply_row_ops(log, m).is_identity()
 
 
 class TestReduceToIdentity:

@@ -16,7 +16,6 @@ from asphere import (
     Word,
     build_surgery_code,
     exterior,
-    exterior_group,
     subcomplex_to_sublink,
     sublink_to_subcomplex,
     verify_meridian_correspondence,
@@ -107,18 +106,6 @@ class TestExterior:
         sc = build_surgery_code(UNIT)
         with pytest.raises(BadSelection):
             exterior(sc, SublinkSelection(frozenset({3})))
-
-    def test_exterior_group_meridians(self):
-        sc = build_surgery_code(UNIT)
-        eg = exterior_group(sc)
-        assert eg.free_rank == 2
-        assert eg.meridians == sc.components
-
-    def test_meridian_word_beyond_rank_rejected(self):
-        from asphere import ExteriorPresentation
-
-        with pytest.raises(ValueError):
-            ExteriorPresentation(1, (parse_word("g2"),))
 
 
 class TestSubcomplexCorrespondence:

@@ -18,7 +18,7 @@ from asphere import (
     lifted_boundary,
 )
 from asphere.intmat import mat_vec
-from asphere.words import parse_word
+from asphere.words import Letter, parse_word
 
 from support import random_word
 
@@ -34,6 +34,34 @@ def combo_mul_right(terms: dict, g: Word) -> dict:
         key = w * g
         out[key] = out.get(key, 0) + c
     return {w: c for w, c in out.items() if c}
+
+
+def lifted_d1(t) -> SparseIntMatrix:
+    """Boundary of the lifted 1-cells: edge i at coset g runs from g to g.x_i."""
+    size = t.n_cosets
+    entries: dict = {}
+    for i in range(1, t.n_generators + 1):
+        for g in range(1, size + 1):
+            col = (i - 1) * size + g
+            for row, v in ((t.act(g, Letter(i, 1)), 1), (g, -1)):
+                entries[(row, col)] = entries.get((row, col), 0) + v
+    return SparseIntMatrix(size, t.n_generators * size, entries)
+
+
+def mat_mul(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
+    out: dict = {}
+    for (i, k), v in a.entries.items():
+        for (k2, j), w in b.entries.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + v * w
+    return SparseIntMatrix(a.rows, b.cols, out)
+
+
+NON_ABELIAN = {
+    "S3": (P(2, "g1^2", "g2^3", "g1 g2 g1 g2"), 6),
+    "A4": (P(2, "g1^2", "g2^3", "g1 g2 g1 g2 g1 g2"), 12),
+    "S4": (P(2, "g1^2", "g2^3", "g1 g2 g1 g2 g1 g2 g1 g2"), 24),
+}
 
 
 def combo_add(a: dict, b: dict) -> dict:
@@ -85,18 +113,6 @@ class TestCosetEnumeration:
             for sign in (1, -1):
                 images = [t.act(c, Letter(i, sign)) for c in range(1, t.n_cosets + 1)]
                 assert sorted(images) == list(range(1, t.n_cosets + 1))
-
-    def test_representatives_trace_to_their_coset(self):
-        t = coset_enumerate(P(2, "g1^2", "g2^3", "g1 g2 g1 g2"), 64)
-        reps = t.representatives()
-        assert reps[0] == Word()
-        for c, rep in enumerate(reps, start=1):
-            assert t.trace(1, rep) == c
-
-    def test_overflow_table_refuses_representatives(self):
-        t = coset_enumerate(Presentation(2), 10)
-        with pytest.raises(IncompleteTable):
-            t.representatives()
 
 
 class TestFoxDerivative:
@@ -166,6 +182,14 @@ class TestLiftedBoundary:
         with pytest.raises(IncompleteTable):
             lifted_boundary(p, t)
 
+    @pytest.mark.parametrize("name", sorted(NON_ABELIAN))
+    def test_lifted_chain_complex_on_non_abelian_groups(self, name):
+        p, order = NON_ABELIAN[name]
+        t = coset_enumerate(p, 256)
+        assert t.is_complete and t.n_cosets == order
+        d2 = lifted_boundary(p, t)
+        assert mat_mul(lifted_d1(t), d2).entries == {}
+
     def test_window_shape(self):
         p = P(1, "g1^3")
         t = coset_enumerate(p, 16)
@@ -198,6 +222,17 @@ class TestVerdicts:
         v = asphericity_verdict(P(2, "g1 g2 g1^-1 g2^-1"), 16)
         assert v.status == "inconclusive"
         assert "limit" in v.reason
+
+    @pytest.mark.parametrize("name", sorted(NON_ABELIAN))
+    def test_kernel_rank_meets_euler_identity(self, name):
+        p, order = NON_ABELIAN[name]
+        chi = 1 - p.n_generators + len(p.relators)
+        v = asphericity_verdict(p, 256)
+        assert v.status == "not_aspherical"
+        assert v.cosets == order
+        assert v.kernel_rank == order * chi - 1
+        t = coset_enumerate(p, 256)
+        assert not any(mat_vec(lifted_boundary(p, t), v.witness))
 
     def test_duplicate_relator_is_detected(self):
         # two identical 2-cells bound a sphere
