@@ -2,9 +2,11 @@
 """Seeded fuzz harness for the integer reduction and normalization stack.
 
 Each round builds a random unimodular window from elementary operations,
-reduces it back to the identity, and checks the replay; in parallel it
-scrambles a trivial-by-construction presentation with random Nielsen moves
-and verifies the normalization certificate end to end.
+reduces it back to the identity, and checks the replay; it takes the Smith
+normal form of a random rectangular window and checks the log replay, the
+divisibility chain, the rank and the kernel basis; and it scrambles a
+trivial-by-construction presentation with random Nielsen moves and verifies
+the normalization certificate end to end.
 
 Usage: python scripts/fuzz_reduction.py [--seed S] [--rounds N]
 """
@@ -18,13 +20,36 @@ sys.path.insert(0, "tests")  # reuse the suite's generators
 
 from asphere import (
     Presentation,
+    SparseIntMatrix,
     apply_base_change,
+    apply_col_ops,
     apply_row_ops,
     exponent_matrix,
+    kernel_basis,
     normalize,
     reduce_to_identity,
+    smith_normal_form,
 )
-from support import random_trivialish_presentation, random_unimodular
+from asphere.intmat import mat_vec, rank
+from support import random_trivialish_presentation, random_unimodular, random_window
+
+
+def check_snf(m: SparseIntMatrix) -> str | None:
+    """Smith form, rank and kernel of `m` against each other; None when sound."""
+    dense = m.to_rows()
+    diag, row_log, col_log = smith_normal_form(m)
+    expect = SparseIntMatrix(m.rows, m.cols, {(k, k): d for k, d in enumerate(diag, 1) if d})
+    if apply_col_ops(col_log, apply_row_ops(row_log, m)) != expect:
+        return f"SNF logs do not replay to the diagonal for {dense}"
+    if any(d < 0 for d in diag) or any(b if a == 0 else b % a for a, b in zip(diag, diag[1:])):
+        return f"SNF diagonal {diag} is not a divisibility chain for {dense}"
+    r = rank(m)
+    if r != sum(1 for d in diag if d):
+        return f"rank {r} disagrees with SNF diagonal {diag} for {dense}"
+    basis = kernel_basis(m)
+    if len(basis) != m.cols - r or any(not any(v) or any(mat_vec(m, v)) for v in basis):
+        return f"kernel basis {basis} is wrong for {dense}"
+    return None
 
 
 def main() -> int:
@@ -43,6 +68,11 @@ def main() -> int:
         op_total += len(log)
         if not apply_row_ops(log, m).is_identity():
             print(f"FAIL round {round_no}: replay mismatch for {m.to_rows()}")
+            return 1
+
+        problem = check_snf(random_window(rng, 8))
+        if problem:
+            print(f"FAIL round {round_no}: {problem}")
             return 1
 
         p = random_trivialish_presentation(rng, rng.randint(1, 4))

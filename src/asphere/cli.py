@@ -29,7 +29,6 @@ from .links import (
     SublinkSelection,
     build_surgery_code,
     exterior,
-    sublink_to_subcomplex,
 )
 from .presentations import (
     ParseError,
@@ -85,13 +84,16 @@ def _load_presentation(path: Path, window: int | None) -> ParsedPresentation:
     parsed = parse_presentation_text(path.read_text())
     if window is not None:
         p = parsed.presentation
+        n = min(window, p.n_generators)
         keep = [
-            r for r in p.relators[:window] if r.max_index() <= min(window, p.n_generators)
+            (r, name)
+            for r, name in zip(p.relators[:window], parsed.rel_names)
+            if r.max_index() <= n
         ]
         parsed = ParsedPresentation(
-            Presentation(min(window, p.n_generators), tuple(keep)),
+            Presentation(n, tuple(r for r, _ in keep)),
             parsed.gen_names[: window] if parsed.gen_names else None,
-            parsed.rel_names[: len(keep)],
+            tuple(name for _, name in keep),
         )
     return parsed
 

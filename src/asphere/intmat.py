@@ -1,7 +1,8 @@
 """Sparse integer matrices on finite truncation windows, elementary
-operation logs, unimodular reduction, and a Smith normal form oracle.
+operation logs, and one Euclid step (`_clear_subcolumn`) that drives the
+unimodular reduction, the rank and a Smith normal form oracle.
 
-Indices are 1-based throughout, matching the matrix JSON interchange form
+Entry and operation indices are 1-based, matching the matrix JSON form
 {"rows": R, "cols": C, "entries": [[i, j, v], ...]}.  Arithmetic is exact
 (Python integers); windows beyond a few hundred rows are out of scope.
 """
@@ -209,31 +210,19 @@ def apply_row_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
     return SparseIntMatrix.from_rows(dense, cols=m.cols)
 
 
-def _apply_col_op(dense: list[list[int]], op: ElementaryOp) -> None:
-    if isinstance(op, SwapRows):
-        for row in dense:
-            row[op.i - 1], row[op.j - 1] = row[op.j - 1], row[op.i - 1]
-    elif isinstance(op, NegateRow):
-        for row in dense:
-            row[op.i - 1] = -row[op.i - 1]
-    else:
-        for row in dense:
-            row[op.target - 1] += op.coeff * row[op.source - 1]
-
-
 def apply_col_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
     """Replay the log as column operations on `m`."""
-    dense = m.to_rows()
+    dense = m.transpose().to_rows()
     for op in log:
         if any(not 1 <= k <= m.cols for k in _op_indices(op)):
             raise IndexOutOfWindow(f"{op!r} outside {m.cols} declared cols")
-        _apply_col_op(dense, op)
-    return SparseIntMatrix.from_rows(dense, cols=m.cols)
+        _apply_op_rows(dense, op)
+    return SparseIntMatrix.from_rows(dense, cols=m.rows).transpose()
 
 
 # ---------------------------------------------------------------------------
-# Unimodular reduction: the constructive Euclid procedure on a window, by
-# invertible row operations only.
+# The Euclid step and what is built on it: unimodular reduction, echelon
+# form and rank, and the Smith normal form.
 
 
 def _emit(dense: list[list[int]], ops: list[ElementaryOp], op: ElementaryOp) -> None:
@@ -241,37 +230,31 @@ def _emit(dense: list[list[int]], ops: list[ElementaryOp], op: ElementaryOp) -> 
     ops.append(op)
 
 
-def _clear_subcolumn(dense: list[list[int]], ops: list[ElementaryOp], k: int) -> None:
-    """Make column k equal e_k on rows >= k.
+def _clear_subcolumn(dense: list[list[int]], ops: list[ElementaryOp], top: int, col: int) -> int:
+    """Leave gcd(column `col` at rows >= `top`) at (top, col), zeros below.
 
-    Repeatedly moves the smallest-|entry| row to row k (smallest row index
-    on ties), normalizes its sign, and subtracts floor-quotient multiples
-    from the rows below, until the gcd remains at the pivot.  Raises
-    NotUnimodular when the subcolumn is identically zero or its gcd
-    exceeds 1.
+    Indices are 0-based.  Each Euclid round moves the smallest-|entry| row
+    to row `top` (smallest row index on ties), makes it positive, and
+    subtracts floor-quotient multiples of it from the rows below.  Returns
+    the nonnegative gcd, or 0 when the subcolumn is zero.
     """
     nrows = len(dense)
-    c = k - 1
     while True:
-        candidates = [(abs(dense[i][c]), i) for i in range(c, nrows) if dense[i][c]]
+        candidates = [(abs(dense[i][col]), i) for i in range(top, nrows) if dense[i][col]]
         if not candidates:
-            raise NotUnimodular(f"column {k} has no nonzero entry at or below row {k}")
+            return 0
         _, best = min(candidates)
-        if best != c:
-            _emit(dense, ops, SwapRows(k, best + 1))
-        if dense[c][c] < 0:
-            _emit(dense, ops, NegateRow(k))
-        pivot = dense[c][c]
-        for i in range(k, nrows):
-            v = dense[i][c]
-            if v:
-                q = v // pivot
-                if q:
-                    _emit(dense, ops, AddMultiple(i + 1, k, -q))
-        if all(dense[i][c] == 0 for i in range(k, nrows)):
-            break
-    if dense[c][c] != 1:
-        raise NotUnimodular(f"column {k} entries have gcd {dense[c][c]} at rows >= {k}")
+        if best != top:
+            _emit(dense, ops, SwapRows(top + 1, best + 1))
+        if dense[top][col] < 0:
+            _emit(dense, ops, NegateRow(top + 1))
+        pivot = dense[top][col]
+        for i in range(top + 1, nrows):
+            q = dense[i][col] // pivot
+            if q:
+                _emit(dense, ops, AddMultiple(i + 1, top + 1, -q))
+        if all(dense[i][col] == 0 for i in range(top + 1, nrows)):
+            return pivot
 
 
 def reduce_to_identity(c: SparseIntMatrix) -> RowOpLog:
@@ -288,7 +271,11 @@ def reduce_to_identity(c: SparseIntMatrix) -> RowOpLog:
     dense = c.to_rows()
     ops: list[ElementaryOp] = []
     for k in range(1, n + 1):
-        _clear_subcolumn(dense, ops, k)
+        g = _clear_subcolumn(dense, ops, k - 1, k - 1)
+        if g == 0:
+            raise NotUnimodular(f"column {k} has no nonzero entry at or below row {k}")
+        if g != 1:
+            raise NotUnimodular(f"column {k} entries have gcd {g} at rows >= {k}")
     for k in range(1, n + 1):
         for j in range(k + 1, n + 1):
             v = dense[k - 1][j - 1]
@@ -299,14 +286,32 @@ def reduce_to_identity(c: SparseIntMatrix) -> RowOpLog:
     return RowOpLog(tuple(ops))
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form with replayable row and column logs.
+def _echelon(dense: list[list[int]], ops: list[ElementaryOp], ncols: int) -> int:
+    """Row echelon form with nonnegative pivots, in place; returns the rank."""
+    top = 0
+    for col in range(ncols):
+        if _clear_subcolumn(dense, ops, top, col):
+            top += 1
+    return top
+
+
+def _transpose(dense: list[list[int]], ncols: int) -> list[list[int]]:
+    return [[row[j] for row in dense] for j in range(ncols)]
+
+
+def _is_diagonal(dense: list[list[int]]) -> bool:
+    return all(not any(row[:i]) and not any(row[i + 1 :]) for i, row in enumerate(dense))
 
 
 def smith_normal_form(
     m: SparseIntMatrix,
 ) -> tuple[tuple[int, ...], RowOpLog, RowOpLog]:
-    """Diagonalize by alternating row/column gcd reduction.
+    """Diagonalize by alternating echelon passes on the rows and the columns.
+
+    Row passes log row ops; column passes are row passes on the transposed
+    rows and log column ops.  Once the matrix is diagonal, the first pair
+    with d_k not dividing d_{k+1} gets row k+1 added to row k and the passes
+    resume (Kannan-Bachem, SIAM J. Comput. 8, 1979).
 
     Returns (diagonal, row_log, col_log) with nonnegative diagonal entries
     in a divisibility chain d1 | d2 | ...; replaying row_log as row ops and
@@ -316,75 +321,27 @@ def smith_normal_form(
     rows, cols = m.rows, m.cols
     rops: list[ElementaryOp] = []
     cops: list[ElementaryOp] = []
-
-    def remit(op: ElementaryOp) -> None:
-        _apply_op_rows(dense, op)
-        rops.append(op)
-
-    def cemit(op: ElementaryOp) -> None:
-        _apply_col_op(dense, op)
-        cops.append(op)
-
-    for t in range(1, min(rows, cols) + 1):
-        while True:
-            candidates = [
-                (abs(dense[i][j]), i, j)
-                for i in range(t - 1, rows)
-                for j in range(t - 1, cols)
-                if dense[i][j]
-            ]
-            if not candidates:
-                break
-            _, bi, bj = min(candidates)
-            if bi != t - 1:
-                remit(SwapRows(t, bi + 1))
-            if bj != t - 1:
-                cemit(SwapRows(t, bj + 1))
-            if dense[t - 1][t - 1] < 0:
-                remit(NegateRow(t))
-            pivot = dense[t - 1][t - 1]
-            dirty = False
-            for i in range(t, rows):
-                v = dense[i][t - 1]
-                if v:
-                    q = v // pivot
-                    if q:
-                        remit(AddMultiple(i + 1, t, -q))
-                    if dense[i][t - 1]:
-                        dirty = True
-            for j in range(t, cols):
-                v = dense[t - 1][j]
-                if v:
-                    q = v // pivot
-                    if q:
-                        cemit(AddMultiple(j + 1, t, -q))
-                    if dense[t - 1][j]:
-                        dirty = True
-            if dirty:
-                continue
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(t, rows)
-                    for j in range(t, cols)
-                    if dense[i][j] % pivot
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            remit(AddMultiple(t, bad[0] + 1, 1))
-        if dense[t - 1][t - 1] == 0:
-            break
-
-    diagonal = tuple(dense[k][k] for k in range(min(rows, cols)))
-    return diagonal, RowOpLog(tuple(rops)), RowOpLog(tuple(cops))
+    while True:
+        _echelon(dense, rops, cols)
+        if not _is_diagonal(dense):
+            transposed = _transpose(dense, cols)
+            _echelon(transposed, cops, rows)
+            dense = _transpose(transposed, rows)
+            continue
+        # A diagonal echelon form has its zero entries last.
+        diagonal = tuple(dense[k][k] for k in range(min(rows, cols)))
+        bad = next(
+            (k for k in range(1, len(diagonal)) if diagonal[k - 1] and diagonal[k] % diagonal[k - 1]),
+            None,
+        )
+        if bad is None:
+            return diagonal, RowOpLog(tuple(rops)), RowOpLog(tuple(cops))
+        _emit(dense, rops, AddMultiple(bad, bad + 1, 1))
 
 
 def rank(m: SparseIntMatrix) -> int:
-    """Integer (= rational) rank, via the SNF diagonal."""
-    diagonal, _, _ = smith_normal_form(m)
-    return sum(1 for d in diagonal if d)
+    """Integer (= rational) rank: the number of pivots of one echelon pass."""
+    return _echelon(m.to_rows(), [], m.cols)
 
 
 def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .intmat import (
-    AddMultiple,
     ElementaryOp,
     NegateRow,
     RowOpLog,

@@ -73,6 +73,19 @@ def random_non_unimodular(rng: random.Random, max_size: int) -> SparseIntMatrix:
             return m
 
 
+def random_window(rng: random.Random, max_size: int) -> SparseIntMatrix:
+    """0..max_size rows and columns, entries up to +-3 or +-1000; with three
+    or more rows, half the time one row is the sum of two others, so
+    empty and rank-deficient windows come up often."""
+    rows, cols = rng.randint(0, max_size), rng.randint(0, max_size)
+    bound = rng.choice([3, 1000])
+    dense = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.5:
+        a, b, t = rng.sample(range(rows), 3)
+        dense[t] = [x + y for x, y in zip(dense[a], dense[b])]
+    return SparseIntMatrix.from_rows(dense, cols=cols)
+
+
 def random_nielsen_move(rng: random.Random, n: int):
     kind = rng.randrange(3)
     if kind == 0 and n >= 2:

@@ -1,10 +1,12 @@
 """Command-line reports: exit codes, JSON shape, and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from asphere.cli import main
+from asphere.cli import _load_presentation, main
+from asphere.words import parse_word
 
 
 SCRAMBLED = "gens: a b\nrel r1: a b a^-1 b^-2\nrel r2: b a b^-1 a^-2\n"
@@ -76,6 +78,12 @@ class TestCheck:
         assert report["findings"]["generators"] == 1
         assert report["findings"]["relators"] == 0
         assert code == 1
+
+    def test_window_keeps_relator_names_with_their_relators(self, tmp_path):
+        f = write(tmp_path, "p.txt", "gens: 3\nrel a: g1 g3\nrel b: g2\nrel c: g3\n")
+        parsed = _load_presentation(Path(f), 2)
+        assert parsed.presentation.relators == (parse_word("g2"),)
+        assert parsed.rel_names == ("b",)
 
     def test_input_digest_recorded(self, run, tmp_path):
         f = write(tmp_path, "p.txt", DISK)

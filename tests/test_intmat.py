@@ -20,7 +20,7 @@ from asphere import (
 )
 from asphere.intmat import IndexOutOfWindow, mat_vec, rank
 
-from support import random_non_unimodular, random_row_ops, random_unimodular
+from support import random_non_unimodular, random_row_ops, random_unimodular, random_window
 
 M = SparseIntMatrix.from_rows
 
@@ -152,9 +152,18 @@ class TestReduceToIdentity:
 
 
 class TestSmithNormalForm:
-    def test_diag_2_3(self):
-        diag, _, _ = smith_normal_form(M([[2, 0], [0, 3]]))
-        assert diag == (1, 6)
+    @pytest.mark.parametrize(
+        "rows, expect",
+        [
+            ([[2, 0], [0, 3]], (1, 6)),
+            ([[2, 0, 0], [0, 3, 0], [0, 0, 4]], (1, 2, 12)),
+            ([[6, 4], [4, 6], [2, 2]], (2, 2)),
+        ],
+        ids=["2x2", "3x3", "3x2"],
+    )
+    def test_diag_2_3(self, rows, expect):
+        diag, _, _ = smith_normal_form(M(rows))
+        assert diag == expect
 
     def test_zero_matrix(self):
         diag, rops, cops = smith_normal_form(SparseIntMatrix.zeros(2, 3))
@@ -167,9 +176,8 @@ class TestSmithNormalForm:
 
     def test_divisibility_chain_and_replay_fuzz(self):
         rng = random.Random(13)
-        for _ in range(150):
-            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            m = M([[rng.randint(-7, 7) for _ in range(cols)] for _ in range(rows)])
+        for _ in range(300):
+            m = random_window(rng, 8)
             diag, rops, cops = smith_normal_form(m)
             assert all(d >= 0 for d in diag)
             for a, b in zip(diag, diag[1:]):
@@ -179,7 +187,7 @@ class TestSmithNormalForm:
                     assert b % a == 0
             replayed = apply_col_ops(cops, apply_row_ops(rops, m))
             expect = SparseIntMatrix(
-                rows, cols, {(k, k): d for k, d in enumerate(diag, start=1) if d}
+                m.rows, m.cols, {(k, k): d for k, d in enumerate(diag, start=1) if d}
             )
             assert replayed == expect
 
@@ -213,11 +221,10 @@ class TestRankAndKernel:
 
     def test_kernel_vectors_annihilate_fuzz(self):
         rng = random.Random(31)
-        for _ in range(100):
-            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            m = M([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
+        for _ in range(200):
+            m = random_window(rng, 8)
             basis = kernel_basis(m)
-            assert len(basis) == cols - rank(m)
+            assert len(basis) == m.cols - rank(m)
             for vec in basis:
                 assert any(vec)
                 assert all(v == 0 for v in mat_vec(m, vec))
