@@ -9,6 +9,7 @@ inputs and flags produce byte-identical findings.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -323,7 +324,9 @@ def cmd_pi2probe(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and shared: parsing keeps no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="asphere",
         description="Presentation, 2-complex, and ribbon-link workbench.",

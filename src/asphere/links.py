@@ -20,7 +20,7 @@ class NotHomologyTrivialUnit(Exception):
     """The presentation fails the identity-exponent normalization."""
 
 
-class BadSelection(Exception):
+class BadSelection(ValueError):
     """A sublink selection references a missing component."""
 
 

@@ -1,6 +1,9 @@
 """Small-instance falsifier for asphericity claims.
 
-Bounded HLT coset enumeration detects finite quotients; the free
+A fundamental group whose abelianization H1 has positive free rank is
+infinite, so no coset table can complete and the probe stops there; this
+covers every presentation with fewer relators than generators.  Otherwise
+bounded HLT coset enumeration detects finite quotients; the free
 differential calculus lifts the boundary matrix over the group ring, which
 the left-regular representation turns into an integer block matrix whose
 rational kernel rank bounds the rank of the second homotopy group from
@@ -12,8 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .intmat import SparseIntMatrix, kernel_basis, mat_vec
-from .presentations import Presentation
+from .intmat import SparseIntMatrix, kernel_basis, mat_vec, rank
+from .presentations import Presentation, exponent_matrix
 from .words import Letter, Word
 
 
@@ -244,15 +247,23 @@ class Verdict:
 def asphericity_verdict(p: Presentation, limit: int) -> Verdict:
     """Sound falsification probe.
 
-    A completed table enumerates the finite fundamental group G, so the
-    rational kernel of the lifted boundary is H2 of the universal cover, of
-    rank |G|.chi - 1 by the Euler identity; that rank is checked.  A nonzero
-    kernel is a second-homotopy witness (re-multiplied through the matrix
-    before it is reported); a zero kernel forces G trivial and certifies
-    asphericity.  Overflow stays inconclusive.
+    If H1 has positive free rank (fewer relators than generators, or a
+    singular exponent matrix), G is infinite and no table can complete, so
+    the verdict is inconclusive without enumerating.  A completed table
+    enumerates the finite fundamental group G, so the rational kernel of
+    the lifted boundary is H2 of the universal cover, of rank |G|.chi - 1
+    by the Euler identity; that rank is checked.  A nonzero kernel is a
+    second-homotopy witness (re-multiplied through the matrix before it is
+    reported); a zero kernel forces G trivial and certifies asphericity.
+    Overflow stays inconclusive.
     """
     if not p.relators:
         return Verdict("aspherical", None, None, None, "no 2-cells: the complex is a graph")
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    n = p.n_generators
+    if len(p.relators) < n or rank(exponent_matrix(p)) < n:
+        return Verdict("inconclusive", None, None, None, "infinite: H1 has positive free rank")
     t = coset_enumerate(p, limit)
     if not t.is_complete:
         return Verdict(

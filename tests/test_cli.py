@@ -179,6 +179,14 @@ class TestSublinks:
         for sel in report["findings"]["selections"]:
             assert sel["probe"]["verdict"] == "aspherical"
 
+    @pytest.mark.parametrize("fill", ["9", "0", "1,3"])
+    def test_missing_component_exit_2(self, run, tmp_path, fill):
+        f = write(tmp_path, "p.txt", UNIT)
+        code, out, err = run("sublinks", f, "--fill", fill)
+        assert code == 2
+        assert not out
+        assert "outside 1..2" in err
+
 
 class TestHomology:
     def test_presentation_homology(self, run, tmp_path):
@@ -251,11 +259,49 @@ class TestPi2Probe:
         assert report["findings"]["kernel_rank"] == 1
 
     def test_overflow_inconclusive(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", "gens: 2\nrel a: g1^2\nrel b: g2^3\n")
+        code, out, _ = run("pi2probe", f, "--limit", "16")
+        report = json.loads(out)
+        assert code == 0
+        assert report["findings"]["verdict"] == "inconclusive"
+        assert report["findings"]["reason"] == "coset enumeration exceeded limit 16"
+
+    def test_positive_free_rank_inconclusive(self, run, tmp_path):
         f = write(tmp_path, "p.txt", "gens: 2\nrel r: g1 g2 g1^-1 g2^-1\n")
         code, out, _ = run("pi2probe", f, "--limit", "16")
         report = json.loads(out)
         assert code == 0
         assert report["findings"]["verdict"] == "inconclusive"
+        assert report["findings"]["reason"] == "infinite: H1 has positive free rank"
+
+    def test_nonpositive_limit_exit_2(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", "gens: 2\nrel r: g1 g2 g1^-1 g2^-1\n")
+        code, out, err = run("pi2probe", f, "--limit", "0")
+        assert code == 2
+        assert not out
+        assert "limit must be positive" in err
+        # a relator-free complex is a graph whatever the limit
+        f = write(tmp_path, "free.txt", "gens: 2\n")
+        code, out, _ = run("pi2probe", f, "--limit", "0")
+        assert code == 0
+        assert json.loads(out)["findings"]["verdict"] == "aspherical"
+
+
+class TestParserReuse:
+    def test_no_state_carries_between_calls(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", UNIT)
+        run("--window", "1", "check", f)
+        _, out, _ = run("check", f)
+        assert json.loads(out)["config"]["window"] is None
+
+    def test_usage_error_then_valid_call(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", UNIT)
+        with pytest.raises(SystemExit) as exc:
+            run("check", f, "--no-such-flag")
+        assert exc.value.code == 2
+        code, out, _ = run("check", f)
+        assert code == 0
+        assert json.loads(out)["findings"]["generators"] == 2
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ falsification probe."""
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from asphere import (
     CosetTable,
@@ -17,7 +18,7 @@ from asphere import (
     fox_derivative,
     lifted_boundary,
 )
-from asphere.intmat import mat_vec
+from asphere.intmat import mat_vec, rank
 from asphere.words import Letter, parse_word
 
 from support import random_word
@@ -62,6 +63,26 @@ NON_ABELIAN = {
     "A4": (P(2, "g1^2", "g2^3", "g1 g2 g1 g2 g1 g2"), 12),
     "S4": (P(2, "g1^2", "g2^3", "g1 g2 g1 g2 g1 g2 g1 g2"), 24),
 }
+
+
+@st.composite
+def infinite_h1_presentations(draw):
+    """1-3 generators and 1-4 random relators; when there are enough
+    relators for a full-rank exponent matrix, every relator's exponent sum
+    in one generator is cancelled, so H1 always has positive free rank."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    letters = st.builds(Letter, st.integers(min_value=1, max_value=n), st.sampled_from((1, -1)))
+    words = st.builds(lambda ls: Word(tuple(ls)), st.lists(letters, max_size=8))
+    relators = draw(st.lists(words, min_size=1, max_size=4))
+    if rank(exponent_matrix(Presentation(n, tuple(relators)))) == n:
+        k = draw(st.integers(min_value=1, max_value=n))
+
+        def cancel(r: Word) -> Word:
+            e = r.exponent_sum(k)
+            return r * Word.from_pairs([(k, -1 if e > 0 else 1)] * abs(e))
+
+        relators = [cancel(r) for r in relators]
+    return Presentation(n, tuple(relators))
 
 
 def combo_add(a: dict, b: dict) -> dict:
@@ -219,9 +240,33 @@ class TestVerdicts:
         assert v.cosets == 1 and v.kernel_rank == 0
 
     def test_overflow_is_inconclusive(self):
-        v = asphericity_verdict(P(2, "g1 g2 g1^-1 g2^-1"), 16)
+        # Z2 * Z3 is infinite, but H1 = Z6 is finite, so HLT runs and overflows
+        v = asphericity_verdict(P(2, "g1^2", "g2^3"), 16)
         assert v.status == "inconclusive"
-        assert "limit" in v.reason
+        assert v.reason == "coset enumeration exceeded limit 16"
+
+    def test_positive_free_rank_skips_enumeration(self):
+        for p in (P(2, "g1 g2 g1^-1 g2^-1"), P(2, "g1 g2 g1^-1 g2^-1", "g1 g2 g1^-1 g2^-1")):
+            v = asphericity_verdict(p, 16)
+            assert v.to_json() == {
+                "verdict": "inconclusive",
+                "cosets": None,
+                "kernel_rank": None,
+                "witness": None,
+                "reason": "infinite: H1 has positive free rank",
+            }
+
+    def test_limit_must_be_positive(self):
+        with pytest.raises(ValueError):
+            asphericity_verdict(P(2, "g1 g2 g1^-1 g2^-1"), 0)
+        assert asphericity_verdict(Presentation(2), 0).status == "aspherical"
+
+    @given(infinite_h1_presentations())
+    def test_positive_free_rank_is_inconclusive_and_overflows(self, p):
+        assert len(p.relators) < p.n_generators or rank(exponent_matrix(p)) < p.n_generators
+        v = asphericity_verdict(p, 64)
+        assert v.status == "inconclusive" and v.cosets is None
+        assert coset_enumerate(p, 64).status == "overflow"
 
     @pytest.mark.parametrize("name", sorted(NON_ABELIAN))
     def test_kernel_rank_meets_euler_identity(self, name):
