@@ -4,7 +4,8 @@
 Each round builds a random unimodular window from elementary operations,
 reduces it back to the identity, and checks the replay; it takes the Smith
 normal form of a random rectangular window and checks the log replay, the
-divisibility chain, the rank and the kernel basis; and it scrambles a
+divisibility chain, the rank and the kernel basis (annihilating, and a
+saturated Z-basis: its own Smith form is all ones); and it scrambles a
 trivial-by-construction presentation with random Nielsen moves and verifies
 the normalization certificate end to end.
 
@@ -49,6 +50,8 @@ def check_snf(m: SparseIntMatrix) -> str | None:
     basis = kernel_basis(m)
     if len(basis) != m.cols - r or any(not any(v) or any(mat_vec(m, v)) for v in basis):
         return f"kernel basis {basis} is wrong for {dense}"
+    if smith_normal_form(SparseIntMatrix.from_rows(basis, cols=m.cols))[0] != (1,) * len(basis):
+        return f"kernel basis {basis} is not a saturated Z-basis for {dense}"
     return None
 
 

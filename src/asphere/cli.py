@@ -286,6 +286,12 @@ def cmd_telescope(args: argparse.Namespace) -> int:
     stages_path = Path(args.stages)
     p = _load_presentation(path, args.window).presentation
     stage_specs = json.loads(stages_path.read_text())
+    if not isinstance(stage_specs, list) or not all(
+        isinstance(s, dict)
+        and all(isinstance(s.get(k), list) and all(type(x) is int for x in s[k]) for k in ("gens", "rels"))
+        for s in stage_specs
+    ):
+        raise ValueError('stages JSON must be a list of {"gens": [...], "rels": [...]} integer lists')
     stages = tuple(
         SubcomplexSpec(
             frozenset(s["gens"]), frozenset(s["rels"]), p.n_generators, len(p.relators)

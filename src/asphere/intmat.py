@@ -1,6 +1,7 @@
 """Sparse integer matrices on finite truncation windows, elementary
 operation logs, and one Euclid step (`_clear_subcolumn`) that drives the
-unimodular reduction, the rank and a Smith normal form oracle.
+unimodular reduction, the rank, the integer kernel (two echelon passes)
+and a Smith normal form oracle.
 
 Entry and operation indices are 1-based, matching the matrix JSON form
 {"rows": R, "cols": C, "entries": [[i, j, v], ...]}.  Arithmetic is exact
@@ -10,11 +11,11 @@ Entry and operation indices are 1-based, matching the matrix JSON form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 
-class IndexOutOfWindow(Exception):
-    """An elementary operation touched an index outside the window."""
+class IndexOutOfWindow(ValueError):
+    """An entry or an elementary operation lies outside the window."""
 
 
 class NotUnimodular(Exception):
@@ -42,17 +43,6 @@ class SparseIntMatrix:
             if v != 0:
                 clean[(i, j)] = int(v)
         object.__setattr__(self, "entries", clean)
-
-    @classmethod
-    def from_entries(
-        cls, rows: int, cols: int, items: Iterable[tuple[int, int, int]]
-    ) -> "SparseIntMatrix":
-        entries: dict[tuple[int, int], int] = {}
-        for i, j, v in items:
-            if (i, j) in entries:
-                raise ValueError(f"duplicate entry at ({i},{j})")
-            entries[(i, j)] = v
-        return cls(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rowdata: Sequence[Sequence[int]], cols: int | None = None) -> "SparseIntMatrix":
@@ -101,8 +91,25 @@ class SparseIntMatrix:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SparseIntMatrix":
-        return cls.from_entries(obj["rows"], obj["cols"], [tuple(e) for e in obj["entries"]])
+    def from_json(cls, obj: object) -> "SparseIntMatrix":
+        """Read the JSON form; ValueError on any other shape, on a value that
+        is not an integer (bools included), or on a repeated entry."""
+        if not (isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys()):
+            raise ValueError('matrix JSON must be an object with "rows", "cols" and "entries"')
+        rows, cols, items = obj["rows"], obj["cols"], obj["entries"]
+        if type(rows) is not int or type(cols) is not int:
+            raise ValueError("matrix rows and cols must be integers")
+        if not isinstance(items, list):
+            raise ValueError("matrix entries must be a list")
+        entries: dict[tuple[int, int], int] = {}
+        for item in items:
+            if not (isinstance(item, list) and len(item) == 3 and all(type(x) is int for x in item)):
+                raise ValueError(f"matrix entry {item!r} is not an [i, j, v] triple of integers")
+            i, j, v = item
+            if (i, j) in entries:
+                raise ValueError(f"duplicate entry at ({i},{j})")
+            entries[(i, j)] = v
+        return cls(rows, cols, entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseIntMatrix):
@@ -222,7 +229,7 @@ def apply_col_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
 
 # ---------------------------------------------------------------------------
 # The Euclid step and what is built on it: unimodular reduction, echelon
-# form and rank, and the Smith normal form.
+# form and rank, the Smith normal form, and the integer kernel.
 
 
 def _emit(dense: list[list[int]], ops: list[ElementaryOp], op: ElementaryOp) -> None:
@@ -345,18 +352,27 @@ def rank(m: SparseIntMatrix) -> int:
 
 
 def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
-    """Integer vectors spanning the rational kernel of the window matrix.
+    """A Z-basis of the integer kernel of the window matrix, cols - rank long.
 
-    The column log of the SNF, replayed on the identity, sends standard
-    basis vectors at zero-diagonal positions to kernel vectors of `m`; the
-    replay runs on the transpose, whose rows are those vectors.
+    A row echelon pass leaves the kernel alone and gives an echelon form E
+    of rank r.  A second pass over the first r columns of the rows of
+    [E^T | I] makes column operations on E, recorded in the I part.  Its
+    rows r.. then have a zero E^T part, so their I parts are kernel vectors,
+    and as rows of a unimodular matrix they form a Z-basis (Cohen, GTM 138,
+    section 2.4).
     """
-    diagonal, _, col_log = smith_normal_form(m)
-    vectors = SparseIntMatrix.identity(m.cols).to_rows()
-    for op in col_log:
-        _apply_op_rows(vectors, op)
-    return [
-        tuple(vectors[k])
-        for k in range(m.cols)
-        if k >= len(diagonal) or diagonal[k] == 0
-    ]
+    cols = m.cols
+    echelon = m.to_rows()
+    r = _echelon(echelon, [], cols)
+    del echelon[r:]
+    augmented = [[row[j] for row in echelon] + [0] * cols for j in range(cols)]
+    del echelon
+    for j, row in enumerate(augmented):
+        row[r + j] = 1
+    _echelon(augmented, [], r)
+    # Replace the rows one by one, so the rows and the tuples are not all
+    # alive at once (peak memory on the probe's larger boundaries).
+    del augmented[:r]
+    for k, row in enumerate(augmented):
+        augmented[k] = tuple(row[r:])
+    return augmented

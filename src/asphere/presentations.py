@@ -223,7 +223,7 @@ def normalize(p: Presentation) -> NormalizationCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON interchange.
+# Text format.
 #
 # Text grammar, one item per line:
 #   gens: <count>          or   gens: name1 name2 ...
@@ -244,12 +244,6 @@ class ParsedPresentation:
     presentation: Presentation
     gen_names: tuple[str, ...] | None
     rel_names: tuple[str, ...]
-
-    @property
-    def names_map(self) -> dict[str, int] | None:
-        if self.gen_names is None:
-            return None
-        return {name: i for i, name in enumerate(self.gen_names, start=1)}
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -331,17 +325,3 @@ def presentation_to_text(
         name = rel_names[j - 1] if rel_names is not None else f"r{j}"
         lines.append(f"rel {name}: {word_to_text(r, gen_names)}")
     return "\n".join(lines) + "\n"
-
-
-def presentation_to_json(p: Presentation) -> dict:
-    return {
-        "generators": p.n_generators,
-        "relators": [[[l.index, l.sign] for l in r] for r in p.relators],
-    }
-
-
-def presentation_from_json(obj: dict) -> Presentation:
-    relators = tuple(
-        Word.from_pairs((i, s) for i, s in letters) for letters in obj["relators"]
-    )
-    return Presentation(obj["generators"], relators)

@@ -232,24 +232,11 @@ def move_inverse(move: NielsenMove) -> tuple[NielsenMove, ...]:
     return (Invert(move.j), RightMultiply(move.i, move.j), Invert(move.j))
 
 
-def move_support(move: NielsenMove) -> frozenset[int]:
-    if isinstance(move, Invert):
-        return frozenset((move.i,))
-    return frozenset((move.i, move.j))
-
-
 @dataclass(frozen=True)
 class BaseChange:
     """A finite, invertible sequence of Nielsen moves."""
 
     moves: tuple[NielsenMove, ...] = ()
-
-    @property
-    def support(self) -> frozenset[int]:
-        support: frozenset[int] = frozenset()
-        for move in self.moves:
-            support |= move_support(move)
-        return support
 
     def inverse(self) -> "BaseChange":
         inverted: list[NielsenMove] = []

@@ -215,6 +215,26 @@ class TestHomology:
         code, _, err = run("homology", str(f), "--matrix")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            {"rows": 2},
+            [1, 2],
+            {"rows": 2, "cols": 2, "entries": [5]},
+            {"rows": "2", "cols": 2, "entries": []},
+            {"rows": 1, "cols": 1, "entries": [[1, 1, 0.5]]},
+            {"rows": 1, "cols": 1, "entries": [[1, 1, True]]},
+            {"rows": 1, "cols": 1, "entries": [[2, 1, 3]]},
+        ],
+        ids=["missing-key", "not-object", "not-triple", "string-size", "float-value", "bool-value", "outside-window"],
+    )
+    def test_malformed_matrix_exit_2(self, run, tmp_path, matrix):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(matrix))
+        code, out, err = run("homology", str(f), "--matrix")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestTelescope:
     def test_matches_final_stage(self, run, tmp_path):
@@ -240,6 +260,23 @@ class TestTelescope:
         stages.write_text(json.dumps([{"gens": [1], "rels": []}]))
         code, _, err = run("telescope", f, "--stages", str(stages))
         assert code == 2  # final stage is not the whole complex
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [{"gens": [1, 2]}],
+            {"gens": [1, 2], "rels": [1, 2]},
+            [{"gens": 3, "rels": [1]}],
+        ],
+        ids=["missing-rels", "not-list", "gens-not-list"],
+    )
+    def test_malformed_stages_exit_2(self, run, tmp_path, spec):
+        f = write(tmp_path, "p.txt", "gens: 2\nrel r: g1 g2 g1^-1 g2^-1\n")
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps(spec))
+        code, out, err = run("telescope", f, "--stages", str(stages))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
 
 class TestPi2Probe:

@@ -228,6 +228,9 @@ class TestRankAndKernel:
             for vec in basis:
                 assert any(vec)
                 assert all(v == 0 for v in mat_vec(m, vec))
+            # Unit invariant factors: independent, and a saturated Z-basis.
+            diag, _, _ = smith_normal_form(SparseIntMatrix.from_rows(basis, cols=m.cols))
+            assert diag == (1,) * len(basis)
 
 
 @given(st.integers(min_value=0, max_value=12345))

@@ -1,5 +1,5 @@
 """Presentations: exponent matrices, local finiteness, the trivial-unit
-predicate, normalization certificates, and the interchange formats."""
+predicate, normalization certificates, and the text format."""
 
 import random
 
@@ -28,8 +28,6 @@ from asphere.presentations import (
     check_stream_local_finiteness,
     exponent_vector,
     lift_row_ops,
-    presentation_from_json,
-    presentation_to_json,
     presentation_to_text,
 )
 from asphere.intmat import AddMultiple, NegateRow, RowOpLog, SwapRows
@@ -209,7 +207,6 @@ class TestTextFormat:
         parsed = parse_presentation_text(text)
         assert parsed.presentation == P(2, "g1 g2 g1^-1 g2^-1")
         assert parsed.gen_names == ("a", "b")
-        assert parsed.names_map == {"a": 1, "b": 2}
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\ngens: 1\nrel r: g1  # inline\n"
@@ -248,17 +245,3 @@ class TestTextFormat:
         parsed = parse_presentation_text(text)
         assert parsed.presentation == P(2, "g1 g2")
         assert parsed.gen_names == ("a", "b")
-
-
-class TestJsonFormat:
-    def test_round_trip(self):
-        rng = random.Random(405)
-        for _ in range(50):
-            p = random_presentation(rng, rng.randint(1, 4), rng.randint(0, 4))
-            assert presentation_from_json(presentation_to_json(p)) == p
-
-    def test_shape(self):
-        assert presentation_to_json(P(1, "g1^-1")) == {
-            "generators": 1,
-            "relators": [[[1, -1]]],
-        }

@@ -191,10 +191,6 @@ class TestNielsenMoves:
 
 
 class TestBaseChange:
-    def test_support(self):
-        bc = BaseChange((Swap(1, 3), Invert(2)))
-        assert bc.support == frozenset({1, 2, 3})
-
     def test_inverse_of_empty(self):
         assert BaseChange().inverse() == BaseChange()
 
