@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .words import (
     BaseChange,
     Invert,
-    Letter,
     RightMultiply,
     Swap,
     Word,

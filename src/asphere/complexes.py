@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intmat import SparseIntMatrix, rank, smith_normal_form
-from .presentations import Presentation, subpresentation
+from .presentations import Presentation, exponent_matrix, subpresentation
 from .words import Word
 
 
@@ -39,9 +39,9 @@ class TwoComplex:
     def _check_closed_path(self, k: int, w: Word) -> None:
         start: int | None = None
         cur: int | None = None
-        for letter in w:
-            s, t = self.edges[letter.index - 1]
-            a, b = (s, t) if letter.sign > 0 else (t, s)
+        for x in w:
+            s, t = self.edges[abs(x) - 1]
+            a, b = (s, t) if x > 0 else (t, s)
             if cur is None:
                 start = a
             elif cur != a:
@@ -71,14 +71,7 @@ def chain_complex(c: TwoComplex) -> tuple[SparseIntMatrix, SparseIntMatrix]:
             if v:
                 d1_entries[(i, j)] = v
     d1 = SparseIntMatrix(c.n_vertices, len(c.edges), d1_entries)
-
-    d2_entries: dict[tuple[int, int], int] = {}
-    for j, w in enumerate(c.faces, start=1):
-        for i in w.indices():
-            v = w.exponent_sum(i)
-            if v:
-                d2_entries[(i, j)] = v
-    d2 = SparseIntMatrix(len(c.edges), len(c.faces), d2_entries)
+    d2 = exponent_matrix(Presentation(len(c.edges), c.faces))
     return d2, d1
 
 
@@ -210,10 +203,6 @@ class Filtration:
             raise ValueError("the final stage must be the whole complex")
 
 
-def _remap(w: Word, edge_of_gen: dict[int, int]) -> Word:
-    return Word.from_pairs((edge_of_gen[l.index], l.sign) for l in w)
-
-
 def telescope(f: Filtration) -> TwoComplex:
     """Glue successive stages along triangulated product collars.
 
@@ -233,7 +222,7 @@ def telescope(f: Filtration) -> TwoComplex:
         edges.append((1, 1))
         cur_copy[g] = len(edges)
     for j in sorted(first.rels):
-        faces.append(_remap(base.relators[j - 1], cur_copy))
+        faces.append(base.relators[j - 1].rename(cur_copy))
     cur_vertex = 1
     prev = first
 
@@ -256,11 +245,11 @@ def telescope(f: Filtration) -> TwoComplex:
             edges.append((cur_vertex, v_new))
             diagonal = len(edges)
             e_old, e_new = cur_copy[g], new_copy[g]
-            faces.append(Word.from_pairs([(e_old, 1), (vertical, 1), (diagonal, -1)]))
-            faces.append(Word.from_pairs([(vertical, 1), (e_new, 1), (diagonal, -1)]))
+            faces.append(Word((e_old, vertical, -diagonal)))
+            faces.append(Word((vertical, e_new, -diagonal)))
 
         for j in new_rels:
-            faces.append(_remap(base.relators[j - 1], new_copy))
+            faces.append(base.relators[j - 1].rename(new_copy))
 
         cur_copy, cur_vertex, prev = new_copy, v_new, stage
 

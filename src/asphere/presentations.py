@@ -97,32 +97,6 @@ def is_locally_finite(p: Presentation) -> tuple[bool, int]:
     return True, max(counts, default=0)
 
 
-@dataclass(frozen=True)
-class StreamCheck:
-    ok: bool
-    witness: int
-    offending_generator: int | None = None
-
-
-def check_stream_local_finiteness(
-    windows: Iterable[Presentation], declared_bound: int
-) -> StreamCheck:
-    """Verify a declared incidence bound over increasing windows.
-
-    A streamed presentation is a producer of growing finite windows; it is
-    accepted as locally finite when no generator is observed in more than
-    `declared_bound` relators.
-    """
-    worst = 0
-    for window in windows:
-        for gen, rels in window.incidence.items():
-            count = len(rels)
-            worst = max(worst, count)
-            if count > declared_bound:
-                return StreamCheck(False, count, gen)
-    return StreamCheck(True, worst)
-
-
 def is_homology_trivial_unit(p: Presentation) -> bool:
     """True iff the exponent matrix is the identity on the window.
 
@@ -162,9 +136,7 @@ def subpresentation(
             raise DanglingRelator(
                 f"relator {j} uses unselected generator {min(missing)}"
             )
-        new_relators.append(
-            Word.from_pairs((renumber[l.index], l.sign) for l in r)
-        )
+        new_relators.append(r.rename(renumber))
     return Presentation(len(gen_set), tuple(new_relators))
 
 

@@ -17,11 +17,16 @@ from dataclasses import dataclass
 
 from .intmat import SparseIntMatrix, kernel_basis, mat_vec, rank
 from .presentations import Presentation, exponent_matrix
-from .words import Letter, Word
+from .words import Word
 
 
 class IncompleteTable(Exception):
     """The operation needs a completed coset table."""
+
+
+def _column(x: int) -> int:
+    """Coset-table column of letter x: g1, g1^-1, g2, g2^-1, ..."""
+    return 2 * abs(x) - (2 if x > 0 else 1)
 
 
 @dataclass(frozen=True)
@@ -44,13 +49,12 @@ class CosetTable:
     def is_complete(self) -> bool:
         return self.status == "complete"
 
-    def act(self, coset: int, letter: Letter) -> int:
-        col = 2 * (letter.index - 1) + (0 if letter.sign > 0 else 1)
-        return self.action[coset - 1][col]
+    def act(self, coset: int, x: int) -> int:
+        return self.action[coset - 1][_column(x)]
 
     def trace(self, coset: int, w: Word) -> int:
-        for letter in w:
-            coset = self.act(coset, letter)
+        for x in w:
+            coset = self.act(coset, x)
         return coset
 
 
@@ -69,7 +73,7 @@ def coset_enumerate(p: Presentation, limit: int) -> CosetTable:
         raise ValueError("limit must be positive")
     n = p.n_generators
     ncols = 2 * n
-    rels = [[2 * (l.index - 1) + (0 if l.sign > 0 else 1) for l in w] for w in p.relators]
+    rels = [[_column(x) for x in w] for w in p.relators]
 
     table: list[list[int | None]] = [[None] * ncols]
     parent = [0]
@@ -182,15 +186,15 @@ def fox_derivative(r: Word, i: int) -> dict[Word, int]:
     """Formal combination satisfying the product rule with d(x_i)/d(x_i) = 1
     and d(x_i^-1)/d(x_i) = -x_i^-1."""
     terms: dict[Word, int] = {}
-    prefix: list[Letter] = []
-    for letter in r:
-        if letter.index == i:
-            if letter.sign > 0:
-                key, coeff = Word(tuple(prefix)), 1
-            else:
-                key, coeff = Word(tuple(prefix) + (letter,)), -1
-            terms[key] = terms.get(key, 0) + coeff
-        prefix.append(letter)
+    letters = r.letters
+    for k, x in enumerate(letters):
+        if x == i:
+            key, coeff = Word(letters[:k]), 1
+        elif x == -i:
+            key, coeff = Word(letters[: k + 1]), -1
+        else:
+            continue
+        terms[key] = terms.get(key, 0) + coeff
     return {w: c for w, c in terms.items() if c}
 
 

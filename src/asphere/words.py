@@ -1,42 +1,26 @@
 """Words in a free group on countably indexed generators g1, g2, ...
 
-Letters carry a 1-based generator index and a sign.  Words are kept freely
-reduced at all times: every constructor reduces eagerly, so downstream code
-may assume reduced form everywhere.  All values are immutable and all
-operations are pure.
+A letter is a nonzero int: +k is g<k> and -k its inverse.  Words are kept
+freely reduced at all times: every constructor reduces eagerly, so
+downstream code may assume reduced form everywhere.  All values are
+immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain, groupby
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One generator occurrence: g<index> raised to sign (+1 or -1)."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
-
-    def inverse(self) -> "Letter":
-        return Letter(self.index, -self.sign)
-
-
-def _free_reduce(raw: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for letter in raw:
-        if stack and stack[-1].index == letter.index and stack[-1].sign == -letter.sign:
+def _free_reduce(raw: Iterable[int]) -> tuple[int, ...]:
+    stack: list[int] = []
+    for x in raw:
+        if stack and stack[-1] == -x:
             stack.pop()
         else:
-            stack.append(letter)
+            stack.append(x)
     return tuple(stack)
 
 
@@ -44,14 +28,24 @@ def _free_reduce(raw: Iterable[Letter]) -> tuple[Letter, ...]:
 class Word:
     """A freely reduced word.  The empty word is the group identity."""
 
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if 0 in self.letters:
+            raise ValueError("a letter must be a nonzero int")
         object.__setattr__(self, "letters", _free_reduce(self.letters))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Word":
-        return cls(tuple(Letter(i, s) for i, s in pairs))
+        """The word of (index, sign) pairs: index >= 1, sign +1 or -1."""
+        letters = []
+        for index, sign in pairs:
+            if index < 1:
+                raise ValueError(f"generator index must be >= 1, got {index}")
+            if sign not in (1, -1):
+                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+            letters.append(index * sign)
+        return cls(tuple(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -59,23 +53,27 @@ class Word:
     def __bool__(self) -> bool:
         return bool(self.letters)
 
-    def __iter__(self) -> Iterator[Letter]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple(l.inverse() for l in reversed(self.letters)))
+        return Word(tuple(-x for x in reversed(self.letters)))
 
     def exponent_sum(self, index: int) -> int:
-        return sum(l.sign for l in self.letters if l.index == index)
+        return self.letters.count(index) - self.letters.count(-index)
 
     def max_index(self) -> int:
-        return max((l.index for l in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
     def indices(self) -> frozenset[int]:
-        return frozenset(l.index for l in self.letters)
+        return frozenset(map(abs, self.letters))
+
+    def rename(self, index_of: Mapping[int, int]) -> "Word":
+        """Replace each g<k> by g<index_of[k]>; KeyError if k is unmapped."""
+        return Word(tuple(index_of[x] if x > 0 else -index_of[-x] for x in self.letters))
 
     def __repr__(self) -> str:
         return f"Word({word_to_text(self)!r})"
@@ -98,33 +96,37 @@ class WordSyntaxError(ValueError):
         self.col = col
 
 
+def _token_letters(token: str, names: dict[str, int] | None, col: int) -> list[int]:
+    tm = _TOKEN_RE.match(token)
+    if tm is None:
+        raise WordSyntaxError(f"malformed word token {token!r}", col)
+    base, exp_text = tm.group(1), tm.group(2)
+    exponent = 1 if exp_text is None else int(exp_text)
+    if names is not None:
+        if base not in names:
+            raise WordSyntaxError(f"unknown generator {base!r}", col)
+        index = names[base]
+    else:
+        dm = _DEFAULT_NAME_RE.match(base)
+        if dm is None:
+            raise WordSyntaxError(f"unknown generator {base!r}", col)
+        index = int(dm.group(1))
+    return [index if exponent > 0 else -index] * abs(exponent)
+
+
 def parse_word(text: str, names: dict[str, int] | None = None) -> Word:
     """Parse the shared word syntax into a reduced Word.
 
     `names` maps generator aliases to indices; without it tokens must use
     the default `g<k>` spelling.
     """
-    letters: list[Letter] = []
+    letters: list[int] = []
+    runs: dict[str, list[int]] = {"1": []}  # each distinct token is parsed once
     for m in re.finditer(r"\S+", text):
-        token, col = m.group(0), m.start() + 1
-        if token == "1":
-            continue
-        tm = _TOKEN_RE.match(token)
-        if tm is None:
-            raise WordSyntaxError(f"malformed word token {token!r}", col)
-        base, exp_text = tm.group(1), tm.group(2)
-        exponent = 1 if exp_text is None else int(exp_text)
-        if names is not None:
-            if base not in names:
-                raise WordSyntaxError(f"unknown generator {base!r}", col)
-            index = names[base]
-        else:
-            dm = _DEFAULT_NAME_RE.match(base)
-            if dm is None:
-                raise WordSyntaxError(f"unknown generator {base!r}", col)
-            index = int(dm.group(1))
-        sign = 1 if exponent > 0 else -1
-        letters.extend(Letter(index, sign) for _ in range(abs(exponent)))
+        token = m.group(0)
+        if token not in runs:
+            runs[token] = _token_letters(token, names, m.start() + 1)
+        letters += runs[token]
     return Word(tuple(letters))
 
 
@@ -132,24 +134,11 @@ def word_to_text(w: Word, names: Sequence[str] | None = None) -> str:
     """Render a word in the shared syntax, collapsing runs into powers."""
     if not w:
         return "1"
-
-    def name(index: int) -> str:
-        return names[index - 1] if names is not None else f"g{index}"
-
     tokens: list[str] = []
-    run_letter: Letter | None = None
-    run = 0
-    for letter in list(w.letters) + [None]:  # type: ignore[list-item]
-        if letter is not None and run_letter is not None and letter == run_letter:
-            run += 1
-            continue
-        if run_letter is not None:
-            exponent = run * run_letter.sign
-            if exponent == 1:
-                tokens.append(name(run_letter.index))
-            else:
-                tokens.append(f"{name(run_letter.index)}^{exponent}")
-        run_letter, run = letter, 1
+    for x, run in groupby(w.letters):
+        name = names[abs(x) - 1] if names is not None else f"g{abs(x)}"
+        n = len(list(run))
+        tokens.append(name if x > 0 and n == 1 else f"{name}^{n if x > 0 else -n}")
     return " ".join(tokens)
 
 
@@ -199,29 +188,21 @@ NielsenMove = Union[Swap, Invert, RightMultiply]
 
 def apply_move(move: NielsenMove, w: Word) -> Word:
     """Apply the substitution induced by one Nielsen move, then reduce."""
-    out: list[Letter] = []
     if isinstance(move, Swap):
-        for l in w:
-            if l.index == move.i:
-                out.append(Letter(move.j, l.sign))
-            elif l.index == move.j:
-                out.append(Letter(move.i, l.sign))
-            else:
-                out.append(l)
+        i, j = move.i, move.j
+        sub = {i: (j,), -i: (-j,), j: (i,), -j: (-i,)}
     elif isinstance(move, Invert):
-        for l in w:
-            out.append(Letter(l.index, -l.sign) if l.index == move.i else l)
+        i = move.i
+        sub = {i: (-i,), -i: (i,)}
     elif isinstance(move, RightMultiply):
-        for l in w:
-            if l.index == move.i and l.sign == 1:
-                out.extend((Letter(move.i, 1), Letter(move.j, 1)))
-            elif l.index == move.i and l.sign == -1:
-                out.extend((Letter(move.j, -1), Letter(move.i, -1)))
-            else:
-                out.append(l)
+        i, j = move.i, move.j
+        sub = {i: (i, j), -i: (-j, -i)}
     else:  # pragma: no cover - exhaustive by construction
         raise TypeError(f"not a Nielsen move: {move!r}")
-    return Word(tuple(out))
+    if sub.keys().isdisjoint(w.letters):
+        return w
+    image = {x: (x,) for x in set(w.letters)} | sub
+    return Word(tuple(chain.from_iterable(map(image.__getitem__, w.letters))))
 
 
 def move_inverse(move: NielsenMove) -> tuple[NielsenMove, ...]:

@@ -8,7 +8,6 @@ from asphere import (
     AddMultiple,
     BaseChange,
     Invert,
-    Letter,
     NegateRow,
     Presentation,
     RightMultiply,
@@ -31,11 +30,10 @@ def random_word(rng: random.Random, n_gens: int, max_len: int) -> Word:
     )
 
 
-def random_letters(rng: random.Random, n_gens: int, max_len: int) -> list[Letter]:
+def random_letters(rng: random.Random, n_gens: int, max_len: int) -> list[int]:
+    """Unreduced signed-int letters: +k is g<k>, -k its inverse."""
     length = rng.randint(0, max_len)
-    return [
-        Letter(rng.randint(1, n_gens), rng.choice((1, -1))) for _ in range(length)
-    ]
+    return [rng.randint(1, n_gens) * rng.choice((1, -1)) for _ in range(length)]
 
 
 def random_row_op(rng: random.Random, n: int):

@@ -24,8 +24,6 @@ from asphere import (
     subpresentation,
 )
 from asphere.presentations import (
-    StreamCheck,
-    check_stream_local_finiteness,
     exponent_vector,
     lift_row_ops,
     presentation_to_text,
@@ -94,15 +92,6 @@ class TestLocalFiniteness:
 
     def test_empty_window(self):
         assert is_locally_finite(Presentation(0)) == (True, 0)
-
-    def test_stream_accepts_within_bound(self):
-        windows = [P(1, "g1"), P(2, "g1", "g1 g2")]
-        assert check_stream_local_finiteness(windows, 2) == StreamCheck(True, 2)
-
-    def test_stream_flags_violation_with_witness(self):
-        windows = [P(1, "g1"), P(1, "g1", "g1", "g1")]
-        out = check_stream_local_finiteness(windows, 2)
-        assert out == StreamCheck(False, 3, offending_generator=1)
 
 
 class TestTrivialUnitPredicate:
