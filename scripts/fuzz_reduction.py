@@ -3,7 +3,9 @@
 
 Each round builds a random unimodular window from elementary operations,
 reduces it back to the identity, and checks the replay; it takes the Smith
-normal form of a random rectangular window and checks the log replay, the
+normal form of a random rectangular window (on odd rounds dense with small
+or large entries, on even rounds up to 40x40, sparse and mostly +-1, where
+unit pivots do most of the work) and checks the log replay, the
 divisibility chain, the rank and the kernel basis (annihilating, and a
 saturated Z-basis: its own Smith form is all ones); and it scrambles a
 trivial-by-construction presentation with random Nielsen moves and verifies
@@ -32,7 +34,12 @@ from asphere import (
     smith_normal_form,
 )
 from asphere.intmat import mat_vec, rank
-from support import random_trivialish_presentation, random_unimodular, random_window
+from support import (
+    random_trivialish_presentation,
+    random_unimodular,
+    random_unit_window,
+    random_window,
+)
 
 
 def check_snf(m: SparseIntMatrix) -> str | None:
@@ -73,7 +80,8 @@ def main() -> int:
             print(f"FAIL round {round_no}: replay mismatch for {m.to_rows()}")
             return 1
 
-        problem = check_snf(random_window(rng, 8))
+        window = random_window(rng, 8) if round_no % 2 else random_unit_window(rng, 40)
+        problem = check_snf(window)
         if problem:
             print(f"FAIL round {round_no}: {problem}")
             return 1

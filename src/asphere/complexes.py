@@ -34,7 +34,9 @@ class TwoComplex:
         for k, w in enumerate(self.faces, start=1):
             if w.max_index() > len(self.edges):
                 raise ValueError(f"face {k} references a missing edge")
-            self._check_closed_path(k, w)
+            # With one vertex every edge is a loop, so every word is closed.
+            if self.n_vertices > 1:
+                self._check_closed_path(k, w)
 
     def _check_closed_path(self, k: int, w: Word) -> None:
         start: int | None = None

@@ -1,7 +1,15 @@
 """Sparse integer matrices on finite truncation windows, elementary
 operation logs, and one Euclid step (`_clear_subcolumn`) that drives the
 unimodular reduction, the rank, the integer kernel (two echelon passes)
-and a Smith normal form oracle.
+and the non-unit part of the Smith normal form.
+
+The Smith form runs in two phases.  Sparse elimination on +-1 pivots,
+taken Markowitz-first from rows stored as {col: value} dicts, removes one
+row and column per pivot (Dumas-Saunders-Villard, J. Symbolic Comput. 32,
+2001; Markowitz, Management Sci. 3, 1957).  Dense echelon passes with a
+Kannan-Bachem fix-up then diagonalize only the block that has no unit
+left.  The boundary maps of presentation complexes are sparse and made of
++-1 entries, so the first phase usually finishes the job.
 
 Entry and operation indices are 1-based, matching the matrix JSON form
 {"rows": R, "cols": C, "entries": [[i, j, v], ...]}.  Arithmetic is exact
@@ -237,13 +245,16 @@ def _emit(dense: list[list[int]], ops: list[ElementaryOp], op: ElementaryOp) -> 
     ops.append(op)
 
 
-def _clear_subcolumn(dense: list[list[int]], ops: list[ElementaryOp], top: int, col: int) -> int:
+def _clear_subcolumn(
+    dense: list[list[int]], ops: list[ElementaryOp] | None, top: int, col: int
+) -> int:
     """Leave gcd(column `col` at rows >= `top`) at (top, col), zeros below.
 
     Indices are 0-based.  Each Euclid round moves the smallest-|entry| row
     to row `top` (smallest row index on ties), makes it positive, and
-    subtracts floor-quotient multiples of it from the rows below.  Returns
-    the nonnegative gcd, or 0 when the subcolumn is zero.
+    subtracts floor-quotient multiples of it from the rows below.  The row
+    operations are appended to `ops`, or only applied when `ops` is None.
+    Returns the nonnegative gcd, or 0 when the subcolumn is zero.
     """
     nrows = len(dense)
     while True:
@@ -252,14 +263,21 @@ def _clear_subcolumn(dense: list[list[int]], ops: list[ElementaryOp], top: int, 
             return 0
         _, best = min(candidates)
         if best != top:
-            _emit(dense, ops, SwapRows(top + 1, best + 1))
-        if dense[top][col] < 0:
-            _emit(dense, ops, NegateRow(top + 1))
-        pivot = dense[top][col]
+            dense[top], dense[best] = dense[best], dense[top]
+            if ops is not None:
+                ops.append(SwapRows(top + 1, best + 1))
+        pivot_row = dense[top]
+        if pivot_row[col] < 0:
+            pivot_row = dense[top] = [-v for v in pivot_row]
+            if ops is not None:
+                ops.append(NegateRow(top + 1))
+        pivot = pivot_row[col]
         for i in range(top + 1, nrows):
             q = dense[i][col] // pivot
             if q:
-                _emit(dense, ops, AddMultiple(i + 1, top + 1, -q))
+                dense[i] = [t - q * s for t, s in zip(dense[i], pivot_row)]
+                if ops is not None:
+                    ops.append(AddMultiple(i + 1, top + 1, -q))
         if all(dense[i][col] == 0 for i in range(top + 1, nrows)):
             return pivot
 
@@ -293,8 +311,9 @@ def reduce_to_identity(c: SparseIntMatrix) -> RowOpLog:
     return RowOpLog(tuple(ops))
 
 
-def _echelon(dense: list[list[int]], ops: list[ElementaryOp], ncols: int) -> int:
-    """Row echelon form with nonnegative pivots, in place; returns the rank."""
+def _echelon(dense: list[list[int]], ops: list[ElementaryOp] | None, ncols: int) -> int:
+    """Row echelon form with nonnegative pivots, in place; returns the rank.
+    The row operations are logged as in `_clear_subcolumn`."""
     top = 0
     for col in range(ncols):
         if _clear_subcolumn(dense, ops, top, col):
@@ -310,24 +329,81 @@ def _is_diagonal(dense: list[list[int]]) -> bool:
     return all(not any(row[:i]) and not any(row[i + 1 :]) for i, row in enumerate(dense))
 
 
-def smith_normal_form(
-    m: SparseIntMatrix,
-) -> tuple[tuple[int, ...], RowOpLog, RowOpLog]:
-    """Diagonalize by alternating echelon passes on the rows and the columns.
+def _eliminate_units(
+    row_of: list[dict[int, int]], ncols: int, rops: list[ElementaryOp], cops: list[ElementaryOp]
+) -> list[tuple[int, int, int]]:
+    """Phase 1 of the Smith form: pivot on unit entries of the sparse rows.
 
-    Row passes log row ops; column passes are row passes on the transposed
-    rows and log column ops.  Once the matrix is diagonal, the first pair
-    with d_k not dividing d_{k+1} gets row k+1 added to row k and the passes
-    resume (Kannan-Bachem, SIAM J. Comput. 8, 1979).
-
-    Returns (diagonal, row_log, col_log) with nonnegative diagonal entries
-    in a divisibility chain d1 | d2 | ...; replaying row_log as row ops and
-    col_log as column ops on `m` yields the diagonal matrix.
+    `row_of[i]` maps the 0-based columns of row i to its nonzero entries.
+    Sweeps the live columns left to right; a column with a +-1 entry takes
+    as pivot the one whose row has the fewest nonzeros (Markowitz), lowest
+    row index on ties.  Logged row ops clear the rest of the column, each
+    touching only the pivot row's nonzeros; logged column ops then clear
+    the pivot row, and the pivot's row and column leave the matrix.  As the
+    pivot is a unit, what is left is the exact Schur complement.  Sweeps
+    repeat until one finds no unit.  Returns the (row, col, +-1) pivots in
+    the order taken; the other rows of `row_of` hold the remainder.
     """
-    dense = m.to_rows()
-    rows, cols = m.rows, m.cols
-    rops: list[ElementaryOp] = []
-    cops: list[ElementaryOp] = []
+    rows_in: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(row_of):
+        for j in row:
+            rows_in[j].add(i)
+    pivots: list[tuple[int, int, int]] = []
+    live = [j for j, rs in enumerate(rows_in) if rs]
+    while True:
+        taken = len(pivots)
+        kept: list[int] = []
+        for c in live:
+            units = [(len(row_of[r]), r) for r in rows_in[c] if row_of[r][c] in (1, -1)]
+            if not units:
+                if rows_in[c]:
+                    kept.append(c)
+                continue
+            _, p = min(units)
+            prow = row_of[p]
+            u = prow[c]
+            for r in sorted(rows_in[c]):
+                if r == p:
+                    continue
+                row = row_of[r]
+                q = -row[c] * u
+                for j, v in prow.items():
+                    new = row.get(j, 0) + q * v
+                    if new:
+                        if j not in row:
+                            rows_in[j].add(r)
+                        row[j] = new
+                    else:
+                        del row[j]
+                        rows_in[j].discard(r)
+                rops.append(AddMultiple(r + 1, p + 1, q))
+            for j in sorted(prow):
+                rows_in[j].discard(p)
+                if j != c:
+                    cops.append(AddMultiple(j + 1, c + 1, -prow[j] * u))
+            pivots.append((p, c, u))
+        if len(pivots) == taken:
+            return pivots
+        live = kept
+
+
+def _swap_to(at: list[int], pos: list[int], x: int, t: int, ops: list[ElementaryOp]) -> None:
+    """Log the swap that brings index `x` to position `t`; `at` and `pos`
+    are inverse permutations (position -> index, index -> position)."""
+    s = pos[x]
+    if s != t:
+        y = at[t]
+        at[t], at[s] = x, y
+        pos[x], pos[y] = t, s
+        ops.append(SwapRows(t + 1, s + 1))
+
+
+def _dense_smith(
+    dense: list[list[int]], rops: list[ElementaryOp], cops: list[ElementaryOp]
+) -> tuple[int, ...]:
+    """Phase 2 remainder: alternate echelon passes on the rows and the
+    columns until diagonal, then fix divisibility (Kannan-Bachem)."""
+    rows, cols = len(dense), len(dense[0])
     while True:
         _echelon(dense, rops, cols)
         if not _is_diagonal(dense):
@@ -342,13 +418,80 @@ def smith_normal_form(
             None,
         )
         if bad is None:
-            return diagonal, RowOpLog(tuple(rops)), RowOpLog(tuple(cops))
+            return diagonal
         _emit(dense, rops, AddMultiple(bad, bad + 1, 1))
+
+
+def _shifted(ops: list[ElementaryOp], k: int) -> list[ElementaryOp]:
+    """The ops with every index raised by `k`."""
+    if not k:
+        return ops
+    out: list[ElementaryOp] = []
+    for op in ops:
+        if isinstance(op, AddMultiple):
+            out.append(AddMultiple(op.target + k, op.source + k, op.coeff))
+        elif isinstance(op, SwapRows):
+            out.append(SwapRows(op.i + k, op.j + k))
+        else:
+            out.append(NegateRow(op.i + k))
+    return out
+
+
+def smith_normal_form(
+    m: SparseIntMatrix,
+) -> tuple[tuple[int, ...], RowOpLog, RowOpLog]:
+    """Smith normal form by sparse unit elimination, then dense Euclid
+    passes on the non-unit remainder.
+
+    Phase 1 (`_eliminate_units`) pivots on +-1 entries of the sparse rows,
+    Markowitz-ordered, and drops each pivot's row and column: the usual
+    first phase of sparse integer Smith forms (Dumas-Saunders-Villard,
+    J. Symbolic Comput. 32, 2001; Markowitz, Management Sci. 3, 1957).
+    Phase 2 swaps the k unit pivots to (1,1)..(k,k) and negates the -1
+    ones.  If the remaining block is nonzero, echelon passes alternate on
+    its rows and columns (column passes are row passes on the transposed
+    rows); once it is diagonal, the first pair with d_i not dividing
+    d_{i+1} gets row i+1 added to row i and the passes resume
+    (Kannan-Bachem, SIAM J. Comput. 8, 1979).  The block's ops are shifted
+    by k.
+
+    Returns (diagonal, row_log, col_log) with nonnegative diagonal entries
+    in a divisibility chain d1 | d2 | ...; replaying row_log as row ops and
+    col_log as column ops on `m` yields the diagonal matrix.
+    """
+    rows, cols = m.rows, m.cols
+    row_of: list[dict[int, int]] = [{} for _ in range(rows)]
+    for (i, j), v in m.entries.items():
+        row_of[i - 1][j - 1] = v
+    rops: list[ElementaryOp] = []
+    cops: list[ElementaryOp] = []
+    pivots = _eliminate_units(row_of, cols, rops, cops)
+
+    row_at, row_pos = list(range(rows)), list(range(rows))
+    col_at, col_pos = list(range(cols)), list(range(cols))
+    for t, (p, c, u) in enumerate(pivots):
+        _swap_to(row_at, row_pos, p, t, rops)
+        _swap_to(col_at, col_pos, c, t, cops)
+        if u < 0:
+            rops.append(NegateRow(t + 1))
+
+    k = len(pivots)
+    rest = [row_of[i] for i in row_at[k:]]
+    if any(rest):
+        block = [[row.get(j, 0) for j in col_at[k:]] for row in rest]
+        block_rops: list[ElementaryOp] = []
+        block_cops: list[ElementaryOp] = []
+        tail = _dense_smith(block, block_rops, block_cops)
+        rops.extend(_shifted(block_rops, k))
+        cops.extend(_shifted(block_cops, k))
+    else:
+        tail = (0,) * (min(rows, cols) - k)
+    return (1,) * k + tail, RowOpLog(tuple(rops)), RowOpLog(tuple(cops))
 
 
 def rank(m: SparseIntMatrix) -> int:
     """Integer (= rational) rank: the number of pivots of one echelon pass."""
-    return _echelon(m.to_rows(), [], m.cols)
+    return _echelon(m.to_rows(), None, m.cols)
 
 
 def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
@@ -363,13 +506,13 @@ def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
     """
     cols = m.cols
     echelon = m.to_rows()
-    r = _echelon(echelon, [], cols)
+    r = _echelon(echelon, None, cols)
     del echelon[r:]
     augmented = [[row[j] for row in echelon] + [0] * cols for j in range(cols)]
     del echelon
     for j, row in enumerate(augmented):
         row[r + j] = 1
-    _echelon(augmented, [], r)
+    _echelon(augmented, None, r)
     # Replace the rows one by one, so the rows and the tuples are not all
     # alive at once (peak memory on the probe's larger boundaries).
     del augmented[:r]

@@ -84,6 +84,23 @@ def random_window(rng: random.Random, max_size: int) -> SparseIntMatrix:
     return SparseIntMatrix.from_rows(dense, cols=cols)
 
 
+def random_unit_window(
+    rng: random.Random, max_size: int, density: tuple[float, float] = (0.03, 0.10)
+) -> SparseIntMatrix:
+    """0..max_size rows and columns, each cell nonzero with a probability
+    drawn from `density`; entries are +-1 and about one in ten +-2, like
+    the sparse boundary maps of presentation complexes and telescopes."""
+    rows, cols = rng.randint(0, max_size), rng.randint(0, max_size)
+    p = rng.uniform(*density)
+    entries = {
+        (i, j): rng.choice((1, -1)) * (2 if rng.random() < 0.1 else 1)
+        for i in range(1, rows + 1)
+        for j in range(1, cols + 1)
+        if rng.random() < p
+    }
+    return SparseIntMatrix(rows, cols, entries)
+
+
 def random_nielsen_move(rng: random.Random, n: int):
     kind = rng.randrange(3)
     if kind == 0 and n >= 2:

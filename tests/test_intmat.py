@@ -1,6 +1,8 @@
 """Sparse windows, elementary op logs, unimodular reduction, and Smith form."""
 
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +22,58 @@ from asphere import (
 )
 from asphere.intmat import IndexOutOfWindow, mat_vec, rank
 
-from support import random_non_unimodular, random_row_ops, random_unimodular, random_window
+from support import (
+    random_non_unimodular,
+    random_row_ops,
+    random_unimodular,
+    random_unit_window,
+    random_window,
+)
 
 M = SparseIntMatrix.from_rows
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Laplace expansion along the first row; for small minors only."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * v * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, v in enumerate(rows[0])
+        if v
+    )
+
+
+def determinantal_divisors(m: SparseIntMatrix) -> list[int]:
+    """D_k = gcd of the k x k minors, k = 1..min(rows, cols)."""
+    dense = m.to_rows()
+    return [
+        gcd(
+            *(
+                _det([[dense[i][j] for j in cs] for i in rs])
+                for rs in combinations(range(m.rows), k)
+                for cs in combinations(range(m.cols), k)
+            )
+        )
+        for k in range(1, min(m.rows, m.cols) + 1)
+    ]
+
+
+def assert_smith_certificate(m: SparseIntMatrix) -> tuple[int, ...]:
+    """The diagonal is a nonnegative divisibility chain and the logs replay
+    on `m` to it; returns the diagonal."""
+    diag, rops, cops = smith_normal_form(m)
+    assert len(diag) == min(m.rows, m.cols)
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        if a == 0:
+            assert b == 0
+        else:
+            assert b % a == 0
+    replayed = apply_col_ops(cops, apply_row_ops(rops, m))
+    expect = SparseIntMatrix(m.rows, m.cols, {(k, k): d for k, d in enumerate(diag, start=1) if d})
+    assert replayed == expect
+    return diag
 
 
 class TestSparseMatrix:
@@ -177,19 +228,61 @@ class TestSmithNormalForm:
     def test_divisibility_chain_and_replay_fuzz(self):
         rng = random.Random(13)
         for _ in range(300):
-            m = random_window(rng, 8)
-            diag, rops, cops = smith_normal_form(m)
-            assert all(d >= 0 for d in diag)
-            for a, b in zip(diag, diag[1:]):
-                if a == 0:
-                    assert b == 0
-                else:
-                    assert b % a == 0
-            replayed = apply_col_ops(cops, apply_row_ops(rops, m))
-            expect = SparseIntMatrix(
-                m.rows, m.cols, {(k, k): d for k, d in enumerate(diag, start=1) if d}
-            )
-            assert replayed == expect
+            assert_smith_certificate(random_window(rng, 8))
+
+    def test_unit_windows_chain_and_replay_fuzz(self):
+        # Sparse +-1 windows up to 40x40: the unit-pivot phase does most of
+        # the work, and about a third leave a non-unit remainder block.
+        rng = random.Random(17)
+        for _ in range(300):
+            m = random_unit_window(rng, 40)
+            diag = assert_smith_certificate(m)
+            assert sum(1 for d in diag if d) == rank(m)
+
+    def test_determinantal_divisors_oracle(self):
+        # d1 * ... * dk = gcd of the k x k minors: a certificate that does
+        # not depend on the elimination or its logs.
+        rng = random.Random(41)
+        for n in range(400):
+            if n % 2:
+                m = random_unit_window(rng, 5, density=(0.3, 0.7))
+            else:
+                m = random_window(rng, 5)
+            diag, _, _ = smith_normal_form(m)
+            divisors = determinantal_divisors(m)
+            assert [prod(diag[:k]) for k in range(1, len(diag) + 1)] == divisors
+
+    @pytest.mark.parametrize(
+        "rows, expect",
+        [
+            ([[1, 1], [1, -1]], (1, 2)),
+            ([[2, 1], [1, 2]], (1, 3)),
+            ([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [2, 0, 0, 0]], (1, 2, 0, 0)),
+            ([[0, 0, 0], [0, -1, 0]], (1, 0)),
+        ],
+        ids=["fill-in-remainder", "unit-off-diagonal", "zero-rows-cols", "zero-tail"],
+    )
+    def test_unit_pivot_pins(self, rows, expect):
+        assert assert_smith_certificate(M(rows)) == expect
+
+    def test_minus_one_pivot_is_negated(self):
+        diag, rops, cops = smith_normal_form(M([[0, -1], [3, 0]]))
+        assert diag == (1, 3)
+        assert rops == RowOpLog((NegateRow(1),))
+        assert cops == RowOpLog((SwapRows(1, 2),))
+
+    def test_markowitz_pivot_takes_the_shortest_row(self):
+        # Column 1 has units in rows 1 (three nonzeros) and 2 (one): row 2
+        # is the pivot, so clearing it touches one entry of row 1.
+        diag, rops, cops = smith_normal_form(M([[1, 1, 1], [1, 0, 0]]))
+        assert diag == (1, 1)
+        assert rops == RowOpLog((AddMultiple(1, 2, -1), SwapRows(1, 2)))
+        assert cops == RowOpLog((AddMultiple(3, 2, -1),))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_windows(self, shape):
+        diag, rops, cops = smith_normal_form(SparseIntMatrix.zeros(*shape))
+        assert diag == () and len(rops) == 0 and len(cops) == 0
 
     def test_snf_invariant_under_elementary_ops_fuzz(self):
         rng = random.Random(21)
