@@ -126,9 +126,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     parsed = _load_presentation(path, args.window)
     p = parsed.presentation
     finite, witness = is_locally_finite(p)
-    diag, _, _ = smith_normal_form(exponent_matrix(p))
-    unimodular = p.balanced and all(d == 1 for d in diag)
     h = homology(from_presentation(p))
+    # d2 of the one-vertex complex is the exponent matrix, so its Smith
+    # diagonal is read off the homology: r2 nonzero entries, torsion last.
+    n, m = p.n_generators, len(p.relators)
+    r2 = m - h.h2
+    diag = (1,) * (r2 - len(h.h1_torsion)) + h.h1_torsion + (0,) * (min(n, m) - r2)
+    unimodular = p.balanced and all(d == 1 for d in diag)
     contractible = h.homologically_contractible
     try:
         trivial_unit: bool | None = is_homology_trivial_unit(p)

@@ -3,13 +3,14 @@ operation logs, and one Euclid step (`_clear_subcolumn`) that drives the
 unimodular reduction, the rank, the integer kernel (two echelon passes)
 and the non-unit part of the Smith normal form.
 
-The Smith form runs in two phases.  Sparse elimination on +-1 pivots,
-taken Markowitz-first from rows stored as {col: value} dicts, removes one
-row and column per pivot (Dumas-Saunders-Villard, J. Symbolic Comput. 32,
-2001; Markowitz, Management Sci. 3, 1957).  Dense echelon passes with a
-Kannan-Bachem fix-up then diagonalize only the block that has no unit
-left.  The boundary maps of presentation complexes are sparse and made of
-+-1 entries, so the first phase usually finishes the job.
+Every elimination and every log replay runs on one row format: row i is a
+dict {0-based col: nonzero value}, and a row operation touches only the
+nonzeros of its source row.  The Smith form first pivots on +-1 entries,
+Markowitz-first, removing one row and column per pivot (Dumas-Saunders-
+Villard, J. Symbolic Comput. 32, 2001; Markowitz, Management Sci. 3, 1957);
+echelon passes with a Kannan-Bachem fix-up then diagonalize only what has
+no unit left.  The boundary maps of presentation complexes are sparse and
+made of +-1 entries, so the first phase usually finishes the job.
 
 Entry and operation indices are 1-based, matching the matrix JSON form
 {"rows": R, "cols": C, "entries": [[i, j, v], ...]}.  Arithmetic is exact
@@ -204,35 +205,65 @@ def _op_indices(op: ElementaryOp) -> tuple[int, ...]:
     return (op.target, op.source)
 
 
-def _apply_op_rows(dense: list[list[int]], op: ElementaryOp) -> None:
+# ---------------------------------------------------------------------------
+# Sparse rows: row i of a matrix is a dict {0-based col: nonzero value}.
+# Every elimination below and the log replay run on this one format.
+
+Rows = list[dict[int, int]]
+
+
+def _sparse_rows(m: SparseIntMatrix) -> Rows:
+    rows: Rows = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i - 1][j - 1] = v
+    return rows
+
+
+def _transpose(rows: Rows, ncols: int) -> Rows:
+    out: Rows = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    return out
+
+
+def _add_multiple(row: dict[int, int], src: dict[int, int], q: int) -> None:
+    """row += q * src in place, touching only the nonzeros of `src`."""
+    for j, v in src.items():
+        new = row.get(j, 0) + q * v
+        if new:
+            row[j] = new
+        else:
+            del row[j]
+
+
+def _apply_op(rows: Rows, op: ElementaryOp) -> None:
     if isinstance(op, SwapRows):
-        dense[op.i - 1], dense[op.j - 1] = dense[op.j - 1], dense[op.i - 1]
+        rows[op.i - 1], rows[op.j - 1] = rows[op.j - 1], rows[op.i - 1]
     elif isinstance(op, NegateRow):
-        dense[op.i - 1] = [-v for v in dense[op.i - 1]]
+        rows[op.i - 1] = {j: -v for j, v in rows[op.i - 1].items()}
     else:
-        src = dense[op.source - 1]
-        tgt = dense[op.target - 1]
-        dense[op.target - 1] = [t + op.coeff * s for t, s in zip(tgt, src)]
+        _add_multiple(rows[op.target - 1], rows[op.source - 1], op.coeff)
+
+
+def _replay(log: RowOpLog, m: SparseIntMatrix, what: str) -> SparseIntMatrix:
+    rows = _sparse_rows(m)
+    for op in log:
+        if any(not 1 <= k <= m.rows for k in _op_indices(op)):
+            raise IndexOutOfWindow(f"{op!r} outside {m.rows} declared {what}")
+        _apply_op(rows, op)
+    entries = {(i + 1, j + 1): v for i, row in enumerate(rows) for j, v in row.items()}
+    return SparseIntMatrix(m.rows, m.cols, entries)
 
 
 def apply_row_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
     """Replay the log as row operations on `m`."""
-    dense = m.to_rows()
-    for op in log:
-        if any(not 1 <= k <= m.rows for k in _op_indices(op)):
-            raise IndexOutOfWindow(f"{op!r} outside {m.rows} declared rows")
-        _apply_op_rows(dense, op)
-    return SparseIntMatrix.from_rows(dense, cols=m.cols)
+    return _replay(log, m, "rows")
 
 
 def apply_col_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
     """Replay the log as column operations on `m`."""
-    dense = m.transpose().to_rows()
-    for op in log:
-        if any(not 1 <= k <= m.cols for k in _op_indices(op)):
-            raise IndexOutOfWindow(f"{op!r} outside {m.cols} declared cols")
-        _apply_op_rows(dense, op)
-    return SparseIntMatrix.from_rows(dense, cols=m.rows).transpose()
+    return _replay(log, m.transpose(), "cols").transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +271,12 @@ def apply_col_ops(log: RowOpLog, m: SparseIntMatrix) -> SparseIntMatrix:
 # form and rank, the Smith normal form, and the integer kernel.
 
 
-def _emit(dense: list[list[int]], ops: list[ElementaryOp], op: ElementaryOp) -> None:
-    _apply_op_rows(dense, op)
+def _emit(rows: Rows, ops: list[ElementaryOp], op: ElementaryOp) -> None:
+    _apply_op(rows, op)
     ops.append(op)
 
 
-def _clear_subcolumn(
-    dense: list[list[int]], ops: list[ElementaryOp] | None, top: int, col: int
-) -> int:
+def _clear_subcolumn(rows: Rows, ops: list[ElementaryOp] | None, top: int, col: int) -> int:
     """Leave gcd(column `col` at rows >= `top`) at (top, col), zeros below.
 
     Indices are 0-based.  Each Euclid round moves the smallest-|entry| row
@@ -256,29 +285,33 @@ def _clear_subcolumn(
     operations are appended to `ops`, or only applied when `ops` is None.
     Returns the nonnegative gcd, or 0 when the subcolumn is zero.
     """
-    nrows = len(dense)
+    nrows = len(rows)
     while True:
-        candidates = [(abs(dense[i][col]), i) for i in range(top, nrows) if dense[i][col]]
+        candidates = [(abs(rows[i][col]), i) for i in range(top, nrows) if col in rows[i]]
         if not candidates:
             return 0
         _, best = min(candidates)
         if best != top:
-            dense[top], dense[best] = dense[best], dense[top]
+            rows[top], rows[best] = rows[best], rows[top]
             if ops is not None:
                 ops.append(SwapRows(top + 1, best + 1))
-        pivot_row = dense[top]
+        pivot_row = rows[top]
         if pivot_row[col] < 0:
-            pivot_row = dense[top] = [-v for v in pivot_row]
+            pivot_row = rows[top] = {j: -v for j, v in pivot_row.items()}
             if ops is not None:
                 ops.append(NegateRow(top + 1))
         pivot = pivot_row[col]
+        cleared = True
         for i in range(top + 1, nrows):
-            q = dense[i][col] // pivot
-            if q:
-                dense[i] = [t - q * s for t, s in zip(dense[i], pivot_row)]
-                if ops is not None:
-                    ops.append(AddMultiple(i + 1, top + 1, -q))
-        if all(dense[i][col] == 0 for i in range(top + 1, nrows)):
+            v = rows[i].get(col)
+            if v:
+                q = v // pivot
+                if q:
+                    _add_multiple(rows[i], pivot_row, -q)
+                    if ops is not None:
+                        ops.append(AddMultiple(i + 1, top + 1, -q))
+                cleared = cleared and col not in rows[i]
+        if cleared:
             return pivot
 
 
@@ -293,48 +326,40 @@ def reduce_to_identity(c: SparseIntMatrix) -> RowOpLog:
     if c.rows != c.cols:
         raise NotUnimodular(f"window is {c.rows}x{c.cols}, not square")
     n = c.rows
-    dense = c.to_rows()
+    rows = _sparse_rows(c)
     ops: list[ElementaryOp] = []
     for k in range(1, n + 1):
-        g = _clear_subcolumn(dense, ops, k - 1, k - 1)
+        g = _clear_subcolumn(rows, ops, k - 1, k - 1)
         if g == 0:
             raise NotUnimodular(f"column {k} has no nonzero entry at or below row {k}")
         if g != 1:
             raise NotUnimodular(f"column {k} entries have gcd {g} at rows >= {k}")
-    for k in range(1, n + 1):
-        for j in range(k + 1, n + 1):
-            v = dense[k - 1][j - 1]
+    for k in range(n):
+        for j in range(k + 1, n):
+            v = rows[k].get(j)
             if v:
-                _emit(dense, ops, AddMultiple(k, j, -v))
-    if not SparseIntMatrix.from_rows(dense, cols=n).is_identity():
+                _emit(rows, ops, AddMultiple(k + 1, j + 1, -v))
+    if any(row != {i: 1} for i, row in enumerate(rows)):
         raise NotUnimodular("window did not reduce to the identity")
     return RowOpLog(tuple(ops))
 
 
-def _echelon(dense: list[list[int]], ops: list[ElementaryOp] | None, ncols: int) -> int:
-    """Row echelon form with nonnegative pivots, in place; returns the rank.
-    The row operations are logged as in `_clear_subcolumn`."""
-    top = 0
-    for col in range(ncols):
-        if _clear_subcolumn(dense, ops, top, col):
+def _echelon(rows: Rows, ops: list[ElementaryOp] | None, ncols: int, start: int = 0) -> int:
+    """Row echelon form with nonnegative pivots, in place, of the rows and
+    columns from `start` on; returns `start` plus their rank.  The row
+    operations are logged as in `_clear_subcolumn`."""
+    top = start
+    for col in range(start, ncols):
+        if _clear_subcolumn(rows, ops, top, col):
             top += 1
     return top
 
 
-def _transpose(dense: list[list[int]], ncols: int) -> list[list[int]]:
-    return [[row[j] for row in dense] for j in range(ncols)]
-
-
-def _is_diagonal(dense: list[list[int]]) -> bool:
-    return all(not any(row[:i]) and not any(row[i + 1 :]) for i, row in enumerate(dense))
-
-
 def _eliminate_units(
-    row_of: list[dict[int, int]], ncols: int, rops: list[ElementaryOp], cops: list[ElementaryOp]
+    row_of: Rows, ncols: int, rops: list[ElementaryOp], cops: list[ElementaryOp]
 ) -> list[tuple[int, int, int]]:
     """Phase 1 of the Smith form: pivot on unit entries of the sparse rows.
 
-    `row_of[i]` maps the 0-based columns of row i to its nonzero entries.
     Sweeps the live columns left to right; a column with a +-1 entry takes
     as pivot the one whose row has the fewest nonzeros (Markowitz), lowest
     row index on ties.  Logged row ops clear the rest of the column, each
@@ -367,14 +392,11 @@ def _eliminate_units(
                     continue
                 row = row_of[r]
                 q = -row[c] * u
-                for j, v in prow.items():
-                    new = row.get(j, 0) + q * v
-                    if new:
-                        if j not in row:
-                            rows_in[j].add(r)
-                        row[j] = new
+                _add_multiple(row, prow, q)
+                for j in prow:
+                    if j in row:
+                        rows_in[j].add(r)
                     else:
-                        del row[j]
                         rows_in[j].discard(r)
                 rops.append(AddMultiple(r + 1, p + 1, q))
             for j in sorted(prow):
@@ -398,77 +420,35 @@ def _swap_to(at: list[int], pos: list[int], x: int, t: int, ops: list[Elementary
         ops.append(SwapRows(t + 1, s + 1))
 
 
-def _dense_smith(
-    dense: list[list[int]], rops: list[ElementaryOp], cops: list[ElementaryOp]
-) -> tuple[int, ...]:
-    """Phase 2 remainder: alternate echelon passes on the rows and the
-    columns until diagonal, then fix divisibility (Kannan-Bachem)."""
-    rows, cols = len(dense), len(dense[0])
-    while True:
-        _echelon(dense, rops, cols)
-        if not _is_diagonal(dense):
-            transposed = _transpose(dense, cols)
-            _echelon(transposed, cops, rows)
-            dense = _transpose(transposed, rows)
-            continue
-        # A diagonal echelon form has its zero entries last.
-        diagonal = tuple(dense[k][k] for k in range(min(rows, cols)))
-        bad = next(
-            (k for k in range(1, len(diagonal)) if diagonal[k - 1] and diagonal[k] % diagonal[k - 1]),
-            None,
-        )
-        if bad is None:
-            return diagonal
-        _emit(dense, rops, AddMultiple(bad, bad + 1, 1))
-
-
-def _shifted(ops: list[ElementaryOp], k: int) -> list[ElementaryOp]:
-    """The ops with every index raised by `k`."""
-    if not k:
-        return ops
-    out: list[ElementaryOp] = []
-    for op in ops:
-        if isinstance(op, AddMultiple):
-            out.append(AddMultiple(op.target + k, op.source + k, op.coeff))
-        elif isinstance(op, SwapRows):
-            out.append(SwapRows(op.i + k, op.j + k))
-        else:
-            out.append(NegateRow(op.i + k))
-    return out
-
-
 def smith_normal_form(
     m: SparseIntMatrix,
 ) -> tuple[tuple[int, ...], RowOpLog, RowOpLog]:
-    """Smith normal form by sparse unit elimination, then dense Euclid
-    passes on the non-unit remainder.
+    """Smith normal form by sparse unit elimination, then Euclid passes on
+    the non-unit remainder.
 
-    Phase 1 (`_eliminate_units`) pivots on +-1 entries of the sparse rows,
-    Markowitz-ordered, and drops each pivot's row and column: the usual
-    first phase of sparse integer Smith forms (Dumas-Saunders-Villard,
-    J. Symbolic Comput. 32, 2001; Markowitz, Management Sci. 3, 1957).
-    Phase 2 swaps the k unit pivots to (1,1)..(k,k) and negates the -1
-    ones.  If the remaining block is nonzero, echelon passes alternate on
-    its rows and columns (column passes are row passes on the transposed
-    rows); once it is diagonal, the first pair with d_i not dividing
+    Phase 1 (`_eliminate_units`) pivots on +-1 entries, Markowitz-ordered,
+    and drops each pivot's row and column: the usual first phase of sparse
+    integer Smith forms (Dumas-Saunders-Villard, J. Symbolic Comput. 32,
+    2001; Markowitz, Management Sci. 3, 1957).  Phase 2 swaps the k unit
+    pivots to (1,1)..(k,k) and negates the -1 ones.  If the remaining rows
+    are nonzero, echelon passes from row and column k on alternate on the
+    rows and the columns (column passes are row passes on the transposed
+    rows); once the matrix is diagonal, the first pair with d_i not dividing
     d_{i+1} gets row i+1 added to row i and the passes resume
-    (Kannan-Bachem, SIAM J. Comput. 8, 1979).  The block's ops are shifted
-    by k.
+    (Kannan-Bachem, SIAM J. Comput. 8, 1979).
 
     Returns (diagonal, row_log, col_log) with nonnegative diagonal entries
     in a divisibility chain d1 | d2 | ...; replaying row_log as row ops and
     col_log as column ops on `m` yields the diagonal matrix.
     """
-    rows, cols = m.rows, m.cols
-    row_of: list[dict[int, int]] = [{} for _ in range(rows)]
-    for (i, j), v in m.entries.items():
-        row_of[i - 1][j - 1] = v
+    nrows, ncols = m.rows, m.cols
+    row_of = _sparse_rows(m)
     rops: list[ElementaryOp] = []
     cops: list[ElementaryOp] = []
-    pivots = _eliminate_units(row_of, cols, rops, cops)
+    pivots = _eliminate_units(row_of, ncols, rops, cops)
 
-    row_at, row_pos = list(range(rows)), list(range(rows))
-    col_at, col_pos = list(range(cols)), list(range(cols))
+    row_at, row_pos = list(range(nrows)), list(range(nrows))
+    col_at, col_pos = list(range(ncols)), list(range(ncols))
     for t, (p, c, u) in enumerate(pivots):
         _swap_to(row_at, row_pos, p, t, rops)
         _swap_to(col_at, col_pos, c, t, cops)
@@ -477,21 +457,31 @@ def smith_normal_form(
 
     k = len(pivots)
     rest = [row_of[i] for i in row_at[k:]]
-    if any(rest):
-        block = [[row.get(j, 0) for j in col_at[k:]] for row in rest]
-        block_rops: list[ElementaryOp] = []
-        block_cops: list[ElementaryOp] = []
-        tail = _dense_smith(block, block_rops, block_cops)
-        rops.extend(_shifted(block_rops, k))
-        cops.extend(_shifted(block_cops, k))
-    else:
-        tail = (0,) * (min(rows, cols) - k)
-    return (1,) * k + tail, RowOpLog(tuple(rops)), RowOpLog(tuple(cops))
+    if not any(rest):
+        diagonal = (1,) * k + (0,) * (min(nrows, ncols) - k)
+        return diagonal, RowOpLog(tuple(rops)), RowOpLog(tuple(cops))
+    rows = [{t: 1} for t in range(k)] + [{col_pos[j]: v for j, v in row.items()} for row in rest]
+    while True:
+        _echelon(rows, rops, ncols, k)
+        if any(row.keys() - {i} for i, row in enumerate(rows)):  # off-diagonal entry
+            transposed = _transpose(rows, ncols)
+            _echelon(transposed, cops, nrows, k)
+            rows = _transpose(transposed, nrows)
+            continue
+        # A diagonal echelon form has its zero entries last.
+        diagonal = tuple(rows[t].get(t, 0) for t in range(min(nrows, ncols)))
+        bad = next(
+            (t for t in range(k + 1, len(diagonal)) if diagonal[t - 1] and diagonal[t] % diagonal[t - 1]),
+            None,
+        )
+        if bad is None:
+            return diagonal, RowOpLog(tuple(rops)), RowOpLog(tuple(cops))
+        _emit(rows, rops, AddMultiple(bad, bad + 1, 1))
 
 
 def rank(m: SparseIntMatrix) -> int:
     """Integer (= rational) rank: the number of pivots of one echelon pass."""
-    return _echelon(m.to_rows(), None, m.cols)
+    return _echelon(_sparse_rows(m), None, m.cols)
 
 
 def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
@@ -499,23 +489,17 @@ def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
 
     A row echelon pass leaves the kernel alone and gives an echelon form E
     of rank r.  A second pass over the first r columns of the rows of
-    [E^T | I] makes column operations on E, recorded in the I part.  Its
-    rows r.. then have a zero E^T part, so their I parts are kernel vectors,
-    and as rows of a unimodular matrix they form a Z-basis (Cohen, GTM 138,
-    section 2.4).
+    [E^T | I] makes column operations on E, recorded in the I part (the
+    entries r + j).  Its rows r.. then have a zero E^T part, so their I
+    parts are kernel vectors, and as rows of a unimodular matrix they form
+    a Z-basis (Cohen, GTM 138, section 2.4).
     """
     cols = m.cols
-    echelon = m.to_rows()
-    r = _echelon(echelon, None, cols)
-    del echelon[r:]
-    augmented = [[row[j] for row in echelon] + [0] * cols for j in range(cols)]
-    del echelon
+    rows = _sparse_rows(m)
+    r = _echelon(rows, None, cols)
+    augmented = _transpose(rows[:r], cols)
+    del rows
     for j, row in enumerate(augmented):
         row[r + j] = 1
     _echelon(augmented, None, r)
-    # Replace the rows one by one, so the rows and the tuples are not all
-    # alive at once (peak memory on the probe's larger boundaries).
-    del augmented[:r]
-    for k, row in enumerate(augmented):
-        augmented[k] = tuple(row[r:])
-    return augmented
+    return [tuple(row.get(r + j, 0) for j in range(cols)) for row in augmented[r:]]

@@ -279,6 +279,21 @@ class TestSmithNormalForm:
         assert rops == RowOpLog((AddMultiple(1, 2, -1), SwapRows(1, 2)))
         assert cops == RowOpLog((AddMultiple(3, 2, -1),))
 
+    def test_unit_pivots_then_remainder_logs(self):
+        # One unit pivot (-1 at (2,1)), then the non-unit remainder
+        # [[2, 0], [0, 3]], whose Euclid passes and Kannan-Bachem step log
+        # global indices after the pivot's swap and negation.
+        m = M([[0, 2, 0], [-1, 0, 0], [0, 0, 3]])
+        diag, rops, cops = smith_normal_form(m)
+        assert diag == (1, 1, 6)
+        assert rops == RowOpLog(
+            (SwapRows(1, 2), NegateRow(1), AddMultiple(2, 3, 1), AddMultiple(3, 2, -3))
+        )
+        assert cops == RowOpLog(
+            (AddMultiple(3, 2, -1), SwapRows(2, 3), AddMultiple(3, 2, -2), NegateRow(3))
+        )
+        assert assert_smith_certificate(m) == diag
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_windows(self, shape):
         diag, rops, cops = smith_normal_form(SparseIntMatrix.zeros(*shape))
@@ -314,8 +329,10 @@ class TestRankAndKernel:
 
     def test_kernel_vectors_annihilate_fuzz(self):
         rng = random.Random(31)
-        for _ in range(200):
-            m = random_window(rng, 8)
+        for n in range(400):
+            # Dense small windows, and sparse +-1 ones like the probe's
+            # lifted boundaries.
+            m = random_window(rng, 8) if n % 2 else random_unit_window(rng, 40)
             basis = kernel_basis(m)
             assert len(basis) == m.cols - rank(m)
             for vec in basis:

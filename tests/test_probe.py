@@ -277,6 +277,12 @@ class TestVerdicts:
         t = coset_enumerate(p, 256)
         assert not any(mat_vec(lifted_boundary(p, t), v.witness))
 
+    def test_s3_witness_pin(self):
+        # The first kernel basis vector: the lifts of the face g1^2 at
+        # cosets 4 and 4.g1 = 5, which share a boundary.
+        v = asphericity_verdict(NON_ABELIAN["S3"][0], 256)
+        assert (v.kernel_rank, v.witness) == (11, (0, 0, 0, -1, 1) + (0,) * 13)
+
     def test_duplicate_relator_is_detected(self):
         # two identical 2-cells bound a sphere
         v = asphericity_verdict(P(1, "g1", "g1"), 32)

@@ -1,0 +1,32 @@
+"""The scripts under scripts/ run end to end against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_fuzz_reduction_passes():
+    result = run_script("fuzz_reduction.py", "--rounds", "30")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert any(line.startswith("OK:") for line in result.stdout.splitlines()), result.stdout
+
+
+def test_pipeline_demo_runs():
+    result = run_script("pipeline_demo.py")
+    assert result.returncode == 0, result.stdout + result.stderr
