@@ -58,6 +58,7 @@ from .links import (
     SurgeryCode,
     build_surgery_code,
     exterior,
+    exterior_homology,
     subcomplex_to_sublink,
     sublink_to_subcomplex,
     verify_meridian_correspondence,

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +31,7 @@ from .links import (
     SublinkSelection,
     build_surgery_code,
     exterior,
+    exterior_homology,
 )
 from .presentations import (
     ParseError,
@@ -77,8 +79,45 @@ def _report(command: str, paths: list[Path], config: dict, findings: dict, warni
     }
 
 
+def _dumps(v, pad: str = "\n") -> str:
+    """`json.dumps(v, indent=2, sort_keys=True)`, byte for byte.
+
+    With `indent`, `json.dumps` runs the pure-Python encoder; this one writes
+    None, bools, exact ints, str, lists, tuples and str-keyed dicts itself,
+    escaping strings through the same `encode_basestring_ascii`, and hands
+    anything else to `json.dumps`, re-indented.  That is exact because an
+    ASCII-escaped JSON text has no newline inside a string.  `pad` is a
+    newline plus the indent of the value's own line.
+    """
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if t is int:
+        return int.__repr__(v)
+    inner = pad + "  "
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in v]) + pad + "]"
+    if t is dict and all(type(k) is str for k in v):
+        if not v:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v[k], inner) for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    """Print `report` exactly as `json.dumps(report, indent=2, sort_keys=True)`
+    would, byte for byte (see `_dumps`), so reports stay byte-identical to
+    those of that encoder."""
+    print(_dumps(report))
 
 
 def _load_presentation(path: Path, window: int | None) -> ParsedPresentation:
@@ -177,7 +216,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         ) from exc
     normalized = Presentation(p.n_generators, cert.new_relators)
     out.write_text(presentation_to_text(normalized, parsed.gen_names, parsed.rel_names))
-    moves_out.write_text(json.dumps(_base_change_json(cert.base_change), indent=2, sort_keys=True))
+    moves_out.write_text(_dumps(_base_change_json(cert.base_change)))
     findings = {
         "exponent_check": cert.exponent_check,
         "moves": len(cert.base_change),
@@ -212,20 +251,23 @@ def cmd_ribbon(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selection_report(sc, fill: frozenset[int], probe_limit: int | None) -> dict:
-    ext = exterior(sc, SublinkSelection(fill))
-    complex_ = from_presentation(ext)
+def _selection_report(sc, texts: list[str], fill: frozenset[int], probe_limit: int | None) -> dict:
+    """One selection's entry; `texts` holds each component's text, rendered
+    once per code.  `exterior_homology` rejects a bad fill before indexing."""
+    sel = SublinkSelection(fill)
+    h = exterior_homology(sc, sel)
+    filled = sorted(fill)
     entry = {
-        "fill": sorted(fill),
+        "fill": filled,
         "exterior": {
-            "generators": ext.n_generators,
-            "relators": [word_to_text(r) for r in ext.relators],
+            "generators": sc.n_handles,
+            "relators": [texts[j - 1] for j in filled],
         },
-        "homology": homology(complex_).to_json(),
+        "homology": h.to_json(),
         "exterior_asphericity": ASPHERICITY_NOTE,
     }
     if probe_limit is not None:
-        entry["probe"] = asphericity_verdict(ext, probe_limit).to_json()
+        entry["probe"] = asphericity_verdict(exterior(sc, sel), probe_limit).to_json()
     return entry
 
 
@@ -265,7 +307,8 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
     else:
         fill = frozenset(int(tok) for tok in args.fill.split(",") if tok) if args.fill else frozenset()
         selections = [fill]
-    reports = [_selection_report(sc, fill, args.probe_limit) for fill in selections]
+    texts = [word_to_text(k) for k in sc.components]
+    reports = [_selection_report(sc, texts, fill, args.probe_limit) for fill in selections]
     findings = {"components": m, "selections": reports}
     _emit(_report("sublinks", [path], config, findings, [TRIVIALITY_WARNING]))
     return 0

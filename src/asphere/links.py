@@ -4,14 +4,17 @@ A surgery code keeps one handle per generator and one loop word per
 relator, normalized so that the exponent sum of generator i in component j
 is the Kronecker delta.  Sublink filling adds the meridian words of the
 filled components as relators of the free exterior group, and selections
-correspond bijectively to 1-full subcomplexes.
+correspond bijectively to 1-full subcomplexes.  The homology of an exterior
+is read off the code rather than computed: the Kronecker-delta exponent sums
+make its second boundary map the identity columns of the fill (see
+`exterior_homology`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SubcomplexSpec
+from .complexes import HomologyReport, SubcomplexSpec
 from .presentations import Presentation, WindowMismatch, is_homology_trivial_unit
 from .words import Word
 
@@ -101,6 +104,22 @@ def exterior(sc: SurgeryCode, sel: SublinkSelection) -> Presentation:
     _check_selection(sc, sel)
     relators = tuple(sc.components[j - 1] for j in sorted(sel.fill))
     return Presentation(sc.n_handles, relators)
+
+
+def exterior_homology(sc: SurgeryCode, sel: SublinkSelection) -> HomologyReport:
+    """Integral homology of the exterior, read off the code without a Smith form.
+
+    The exterior's presentation complex has one vertex, n = `sc.n_handles`
+    edges and one face per filled component.  Its d1 is zero, and column j
+    of its d2 lists the exponent sums of component j, which `SurgeryCode`
+    checks to be the Kronecker delta: d2 is the identity columns of the
+    fill F.  So H0 = Z, H1 = Z^(n - |F|) with no torsion, H2 = ker d2 = 0
+    and chi = 1 - n + |F|, exactly what `homology(from_presentation(
+    exterior(sc, sel)))` returns.
+    """
+    _check_selection(sc, sel)
+    n, f = sc.n_handles, len(sel.fill)
+    return HomologyReport(1, n - f, (), 0, 1 - n + f)
 
 
 def subcomplex_to_sublink(s: SubcomplexSpec) -> SublinkSelection:

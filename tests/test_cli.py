@@ -4,14 +4,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from asphere.cli import _load_presentation, main
+from asphere.cli import _dumps, _load_presentation, main
 from asphere.words import parse_word
 
 
 SCRAMBLED = "gens: a b\nrel r1: a b a^-1 b^-2\nrel r2: b a b^-1 a^-2\n"
 UNIT = "gens: 2\nrel r1: g1 g2 g1^-1 g2^-1 g1\nrel r2: g2 g1 g2 g1^-1 g2^-1\n"
 DISK = "gens: 1\nrel r: g1\n"
+# Identity exponent matrix on three generators.
+UNIT3 = "gens: 3\nrel r1: g1 g2 g3 g2^-1 g3^-1\nrel r2: g2\nrel r3: g3 g1 g2 g1^-1 g2^-1\n"
 
 
 @pytest.fixture
@@ -179,6 +182,25 @@ class TestSublinks:
         for sel in report["findings"]["selections"]:
             assert sel["probe"]["verdict"] == "aspherical"
 
+    def test_partial_fill_of_three_components(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", UNIT3)
+        code, out, _ = run("sublinks", f, "--fill", "1,3")
+        assert code == 0
+        (sel,) = json.loads(out)["findings"]["selections"]
+        assert sel["fill"] == [1, 3]
+        assert sel["exterior"] == {
+            "generators": 3,
+            "relators": ["g1 g2 g3 g2^-1 g3^-1", "g3 g1 g2 g1^-1 g2^-1"],
+        }
+        assert sel["homology"] == {"H0": 1, "H1": {"rank": 1, "torsion": []}, "H2": 0, "chi": 0}
+
+    def test_fill_report_bytes_pinned(self, run, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p.txt", UNIT)
+        code, out, _ = run("sublinks", "p.txt", "--fill", "2")
+        assert code == 0
+        assert out == FILL_2_REPORT
+
     @pytest.mark.parametrize("fill", ["9", "0", "1,3"])
     def test_missing_component_exit_2(self, run, tmp_path, fill):
         f = write(tmp_path, "p.txt", UNIT)
@@ -186,6 +208,56 @@ class TestSublinks:
         assert code == 2
         assert not out
         assert "outside 1..2" in err
+
+
+FILL_2_REPORT = """\
+{
+  "command": "sublinks",
+  "config": {
+    "cap": 12,
+    "enumerate": false,
+    "fill": "2",
+    "force": false,
+    "probe_limit": null,
+    "seed": null,
+    "window": null
+  },
+  "findings": {
+    "components": 2,
+    "selections": [
+      {
+        "exterior": {
+          "generators": 2,
+          "relators": [
+            "g2 g1 g2 g1^-1 g2^-1"
+          ]
+        },
+        "exterior_asphericity": "aspherical by construction (ribbon disk-link exterior)",
+        "fill": [
+          2
+        ],
+        "homology": {
+          "H0": 1,
+          "H1": {
+            "rank": 1,
+            "torsion": []
+          },
+          "H2": 0,
+          "chi": 0
+        }
+      }
+    ]
+  },
+  "inputs": {
+    "p.txt": "4561587dd7209daf1ac53b684145b248830522f5c6898c6ed95e0439d96d46c9"
+  },
+  "tool": "asphere",
+  "version": "0.1.0",
+  "warnings": [
+    "group triviality assumed, not verified (contractibility hypothesis)"
+  ]
+}
+"""
 
 
 class TestHomology:
@@ -362,3 +434,36 @@ class TestDeterminism:
             first = run(*argv)
             second = run(*argv)
             assert first == second, argv
+
+
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e')))
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**80),
+    json_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(json_text, kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriter:
+    @given(json_values)
+    def test_dumps_is_json_dumps_byte_for_byte(self, v):
+        assert _dumps(v) == json.dumps(v, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "v",
+        [[1.5, float("nan")], {1: [True, None], 2: {}}, [{"a": [{0.5: "x"}]}], {"k": [(), {}]}],
+    )
+    def test_values_without_fast_path_fall_back_exactly(self, v):
+        assert _dumps(v) == json.dumps(v, indent=2, sort_keys=True)

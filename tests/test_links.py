@@ -16,11 +16,18 @@ from asphere import (
     Word,
     build_surgery_code,
     exterior,
+    exterior_homology,
     subcomplex_to_sublink,
     sublink_to_subcomplex,
     verify_meridian_correspondence,
 )
-from asphere.complexes import full_spec, onefull_hull, subcomplex_presentation
+from asphere.complexes import (
+    from_presentation,
+    full_spec,
+    homology,
+    onefull_hull,
+    subcomplex_presentation,
+)
 from asphere.words import parse_word
 
 from support import random_trivialish_presentation
@@ -106,6 +113,26 @@ class TestExterior:
         sc = build_surgery_code(UNIT)
         with pytest.raises(BadSelection):
             exterior(sc, SublinkSelection(frozenset({3})))
+
+    def test_homology_formula_matches_smith_form(self):
+        """The homology read off the code equals the Smith-form homology of
+        the exterior's presentation complex, for random fills of random
+        identity-exponent codes, the empty and the full fill included."""
+        from asphere import normalize
+
+        rng = random.Random(707)
+        for _ in range(30):
+            p = random_trivialish_presentation(rng, rng.randint(1, 4))
+            sc = build_surgery_code(Presentation(p.n_generators, normalize(p).new_relators))
+            m = len(sc.components)
+            fills = [frozenset(), frozenset(range(1, m + 1))]
+            fills += [frozenset(j for j in range(1, m + 1) if rng.random() < 0.5) for _ in range(3)]
+            for fill in fills:
+                sel = SublinkSelection(fill)
+                assert exterior_homology(sc, sel) == homology(from_presentation(exterior(sc, sel)))
+            for bad in (0, m + 1):
+                with pytest.raises(BadSelection):
+                    exterior_homology(sc, SublinkSelection(fills[-1] | {bad}))
 
 
 class TestSubcomplexCorrespondence:

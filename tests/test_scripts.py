@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,12 @@ def test_fuzz_reduction_passes():
 def test_pipeline_demo_runs():
     result = run_script("pipeline_demo.py")
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_report_digest_is_repeatable():
+    args = ("--src", "src", "--workload", "sublinks-walk", "--seed", "1")
+    first, second = run_script("report_digest.py", *args), run_script("report_digest.py", *args)
+    for result in (first, second):
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert re.fullmatch(r"[0-9a-f]{64}\n", result.stdout), result.stdout
+    assert first.stdout == second.stdout
