@@ -9,7 +9,10 @@ unit pivots do most of the work) and checks the log replay, the
 divisibility chain, the rank and the kernel basis (annihilating, and a
 saturated Z-basis: its own Smith form is all ones); and it scrambles a
 trivial-by-construction presentation with random Nielsen moves and verifies
-the normalization certificate end to end.
+the normalization certificate end to end: the inverse base change carries
+each new relator back, and replaying the base change one move at a time
+(`apply_move`, independent of the composed substitution that `normalize`
+uses) carries each old relator to the new one.
 
 Usage: python scripts/fuzz_reduction.py [--seed S] [--rounds N]
 """
@@ -39,6 +42,7 @@ from support import (
     random_unimodular,
     random_unit_window,
     random_window,
+    replay_moves,
 )
 
 
@@ -94,6 +98,7 @@ def main() -> int:
             and exponent_matrix(rewritten).is_identity()
             and all(
                 apply_base_change(cert.base_change.inverse(), new) == old
+                and replay_moves(cert.base_change, old) == new
                 for old, new in zip(p.relators, cert.new_relators)
             )
         )

@@ -47,12 +47,13 @@ class SurgeryCode:
         for j, k in enumerate(self.components, start=1):
             if k.max_index() > self.n_handles:
                 raise ValueError(f"component {j} touches a missing handle")
+            sums = k.exponent_sums()
             for i in k.indices() | {j}:
                 want = 1 if i == j else 0
-                if k.exponent_sum(i) != want:
+                if sums.get(i, 0) != want:
                     raise ValueError(
                         f"component {j} has intersection number "
-                        f"{k.exponent_sum(i)} with handle {i}, expected {want}"
+                        f"{sums.get(i, 0)} with handle {i}, expected {want}"
                     )
 
     def to_json(self) -> dict:

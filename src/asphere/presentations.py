@@ -24,8 +24,8 @@ from .words import (
     Swap,
     Word,
     WordSyntaxError,
+    _parse_word,
     apply_base_change,
-    parse_word,
     word_to_text,
 )
 
@@ -78,10 +78,8 @@ def exponent_matrix(p: Presentation) -> SparseIntMatrix:
     """Entry (i, j) = exponent sum of generator i in relator j."""
     entries: dict[tuple[int, int], int] = {}
     for j, r in enumerate(p.relators, start=1):
-        for i in r.indices():
-            v = r.exponent_sum(i)
-            if v:
-                entries[(i, j)] = v
+        for i, v in r.exponent_sums().items():
+            entries[(i, j)] = v
     return SparseIntMatrix(p.n_generators, len(p.relators), entries)
 
 
@@ -227,6 +225,7 @@ def parse_presentation_text(text: str) -> ParsedPresentation:
     relators: list[Word] = []
     rel_names: list[str] = []
     names_map: dict[str, int] | None = None
+    runs: dict[str, list[int]] = {"1": []}  # each distinct token is parsed once
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
@@ -261,7 +260,7 @@ def parse_presentation_text(text: str) -> ParsedPresentation:
             name, word_text = m.group(1), m.group(2)
             word_col = line.index(":", line.index("rel")) + 2
             try:
-                word = parse_word(word_text, names=names_map)
+                word = _parse_word(word_text, names_map, runs)
             except WordSyntaxError as exc:
                 offset = line.find(word_text) if word_text else word_col
                 raise ParseError(str(exc), lineno, max(offset, 0) + exc.col) from exc

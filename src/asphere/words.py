@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, groupby
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -65,6 +66,16 @@ class Word:
     def exponent_sum(self, index: int) -> int:
         return self.letters.count(index) - self.letters.count(-index)
 
+    def exponent_sums(self) -> dict[int, int]:
+        """Generator index -> its exponent sum, nonzero sums only, in one pass."""
+        sums: dict[int, int] = {}
+        for x in self.letters:
+            if x > 0:
+                sums[x] = sums.get(x, 0) + 1
+            else:
+                sums[-x] = sums.get(-x, 0) - 1
+        return {i: v for i, v in sums.items() if v}
+
     def max_index(self) -> int:
         return max(map(abs, self.letters), default=0)
 
@@ -114,20 +125,24 @@ def _token_letters(token: str, names: dict[str, int] | None, col: int) -> list[i
     return [index if exponent > 0 else -index] * abs(exponent)
 
 
-def parse_word(text: str, names: dict[str, int] | None = None) -> Word:
-    """Parse the shared word syntax into a reduced Word.
-
-    `names` maps generator aliases to indices; without it tokens must use
-    the default `g<k>` spelling.
-    """
+def _parse_word(text: str, names: dict[str, int] | None, runs: dict[str, list[int]]) -> Word:
+    """`parse_word` with a token memo `runs` that words with one `names` share."""
     letters: list[int] = []
-    runs: dict[str, list[int]] = {"1": []}  # each distinct token is parsed once
     for m in re.finditer(r"\S+", text):
         token = m.group(0)
         if token not in runs:
             runs[token] = _token_letters(token, names, m.start() + 1)
         letters += runs[token]
     return Word(tuple(letters))
+
+
+def parse_word(text: str, names: dict[str, int] | None = None) -> Word:
+    """Parse the shared word syntax into a reduced Word.
+
+    `names` maps generator aliases to indices; without it tokens must use
+    the default `g<k>` spelling.
+    """
+    return _parse_word(text, names, {"1": []})
 
 
 def word_to_text(w: Word, names: Sequence[str] | None = None) -> str:
@@ -228,9 +243,25 @@ class BaseChange:
     def __len__(self) -> int:
         return len(self.moves)
 
+    @cached_property
+    def _images(self) -> dict[int, tuple[int, ...]]:
+        """Letter -> reduced image under all the moves, built from the last
+        move back; cached outside the fields, so == and hash see `moves`."""
+        img: dict[int, tuple[int, ...]] = {}
+        for m in reversed(self.moves):
+            if isinstance(m, Swap):
+                img[m.i], img[m.j] = img.get(m.j, (m.j,)), img.get(m.i, (m.i,))
+            elif isinstance(m, Invert):
+                img[m.i] = tuple(-x for x in reversed(img.get(m.i, (m.i,))))
+            else:
+                img[m.i] = _free_reduce(img.get(m.i, (m.i,)) + img.get(m.j, (m.j,)))
+        return img | {-i: tuple(-x for x in reversed(v)) for i, v in img.items()}
+
 
 def apply_base_change(bc: BaseChange, w: Word) -> Word:
-    """Apply the moves of `bc` left to right."""
-    for move in bc.moves:
-        w = apply_move(move, w)
-    return w
+    """Apply the moves of `bc` left to right, as one substitution through
+    the generator images composed once per base change.  This equals the
+    move-by-move replay: both reduce the same free group element, whose
+    reduced word is unique."""
+    image = {x: (x,) for x in set(w.letters)} | bc._images
+    return Word(tuple(chain.from_iterable(map(image.__getitem__, w.letters))))

@@ -17,6 +17,7 @@ from asphere import (
     SwapRows,
     Word,
     apply_base_change,
+    apply_move,
     apply_row_ops,
     smith_normal_form,
 )
@@ -110,6 +111,14 @@ def random_nielsen_move(rng: random.Random, n: int):
         return Invert(rng.randint(1, n))
     i, j = rng.sample(range(1, n + 1), 2)
     return RightMultiply(i, j)
+
+
+def replay_moves(bc: BaseChange, w: Word) -> Word:
+    """Oracle for `apply_base_change`: apply the moves of `bc` one at a time,
+    each with its own substitution and free reduction."""
+    for move in bc.moves:
+        w = apply_move(move, w)
+    return w
 
 
 def random_base_change(rng: random.Random, n: int, max_moves: int) -> BaseChange:

@@ -36,6 +36,7 @@ from support import (
     random_presentation,
     random_row_ops,
     random_word,
+    replay_moves,
 )
 
 
@@ -146,6 +147,21 @@ class TestLifting:
             assert list(exponent_vector(moved, 3)) == after
 
 
+    def test_lifted_multiples_match_replay(self):
+        # |coeff| >= 2 lifts to runs of equal RightMultiply moves.
+        rng = random.Random(2718)
+        for _ in range(100):
+            n = rng.randint(2, 5)
+            ops = []
+            for _ in range(rng.randint(1, 8)):
+                i, j = rng.sample(range(1, n + 1), 2)
+                ops.append(AddMultiple(i, j, rng.choice((-1, 1)) * rng.randint(2, 5)))
+            bc = lift_row_ops(RowOpLog(tuple(ops)))
+            for _ in range(3):
+                w = random_word(rng, n + 1, 12)
+                assert apply_base_change(bc, w) == replay_moves(bc, w)
+
+
 class TestNormalize:
     def test_already_normalized_is_identity_certificate(self):
         p = P(2, "g1", "g2")
@@ -218,6 +234,19 @@ class TestTextFormat:
         with pytest.raises(ParseError) as exc:
             parse_presentation_text("gens: 1\nrel r: g1 g1^\n")
         assert exc.value.line == 2
+
+    def test_bad_token_after_tokens_of_earlier_relators(self):
+        # Tokens seen in relator a are memoized; the bad one in b still
+        # reports its own line and column.
+        text = "gens: 2\nrel a: g1 g2^-1 g1\nrel b: g2^-1 g1  g3^ g1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_presentation_text(text)
+        assert (exc.value.line, exc.value.col) == (3, 18)
+        named = "gens: a b\nrel r: a b\nrel s: b a c\n"
+        with pytest.raises(ParseError) as exc:
+            parse_presentation_text(named)
+        assert (exc.value.line, exc.value.col) == (3, 12)
+        assert "unknown generator 'c'" in str(exc.value)
 
     def test_unrecognized_line(self):
         with pytest.raises(ParseError):

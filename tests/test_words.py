@@ -19,7 +19,7 @@ from asphere import (
 )
 from asphere.words import WordSyntaxError, move_inverse
 
-from support import random_base_change, random_letters, random_word
+from support import random_base_change, random_letters, random_word, replay_moves
 
 
 def W(pairs):
@@ -30,6 +30,37 @@ letters = st.builds(
     operator.mul, st.integers(min_value=1, max_value=5), st.sampled_from((1, -1))
 )
 words = st.builds(lambda ls: Word(tuple(ls)), st.lists(letters, max_size=12))
+
+# Moves on g1..g4 (Swap(i, i) included) acting on words over g1..g6, so
+# some letters lie outside every move.
+gens = st.integers(min_value=1, max_value=4)
+moves = st.one_of(
+    st.builds(Swap, gens, gens),
+    st.builds(Invert, gens),
+    st.tuples(gens, gens).filter(lambda ij: ij[0] != ij[1]).map(lambda ij: RightMultiply(*ij)),
+)
+wide_words = st.builds(
+    lambda ls: Word(tuple(ls)),
+    st.lists(
+        st.builds(operator.mul, st.integers(min_value=1, max_value=6), st.sampled_from((1, -1))),
+        max_size=16,
+    ),
+)
+
+
+def random_moves(rng: random.Random, n: int, max_moves: int) -> list:
+    """Moves on g1..g<n> that may repeat an index in a Swap."""
+    out = []
+    for _ in range(rng.randint(0, max_moves)):
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(Swap(i, j))
+        elif kind == 1 or i == j:
+            out.append(Invert(i))
+        else:
+            out.append(RightMultiply(i, j))
+    return out
 
 
 class TestReduction:
@@ -93,6 +124,18 @@ class TestWordQueries:
         assert w.exponent_sum(1) == 1
         assert w.exponent_sum(2) == 0
         assert w.exponent_sum(3) == 0
+
+    def test_exponent_sums(self):
+        w = W([(1, 1), (2, 1), (1, 1), (2, -1), (1, -1), (3, -1)])
+        assert w.exponent_sums() == {1: 1, 3: -1}
+        assert Word().exponent_sums() == {}
+
+    def test_exponent_sums_match_exponent_sum_fuzz(self):
+        rng = random.Random(515)
+        for _ in range(300):
+            w = Word(tuple(random_letters(rng, 6, 30)))
+            expect = {i: w.exponent_sum(i) for i in range(1, 7) if w.exponent_sum(i)}
+            assert w.exponent_sums() == expect
 
     def test_max_index_and_indices(self):
         w = W([(2, 1), (5, -1)])
@@ -213,6 +256,44 @@ class TestBaseChange:
             bc = random_base_change(rng, 4, 8)
             w = random_word(rng, 4, 10)
             assert apply_base_change(bc.inverse(), apply_base_change(bc, w)) == w
+
+    @given(st.lists(moves, max_size=10), wide_words)
+    def test_composition_matches_replay(self, ms, w):
+        bc = BaseChange(tuple(ms))
+        assert apply_base_change(bc, w) == replay_moves(bc, w)
+
+    def test_composition_matches_replay_fuzz(self):
+        rng = random.Random(1212)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            ms = random_moves(rng, n, 40)
+            if rng.random() < 0.5:
+                # an Invert that no later move touches
+                ms.append(Invert(rng.randint(1, n + 1)))
+            bc = BaseChange(tuple(ms))
+            for _ in range(3):
+                w = random_word(rng, n + 2, 30)
+                assert apply_base_change(bc, w) == replay_moves(bc, w)
+
+    def test_composition_pins(self):
+        w = W([(1, 1), (2, -1), (3, 1)])
+        assert apply_base_change(BaseChange((Swap(2, 2),)), w) == w
+        assert apply_base_change(BaseChange((Invert(3),)), w) == W([(1, 1), (2, -1), (3, -1)])
+        # g1 -> g1 g2, then g2 -> g2^-1: g1 goes to g1 g2^-1 and g2 to g2^-1
+        bc = BaseChange((RightMultiply(1, 2), Invert(2)))
+        assert apply_base_change(bc, w) == W([(1, 1), (3, 1)])
+        assert apply_base_change(bc, W([(4, 1)])) == W([(4, 1)])
+
+    def test_cached_images_keep_equality_and_hash(self):
+        ms = (RightMultiply(1, 2), Invert(2), Swap(1, 3), RightMultiply(3, 1))
+        a, b = BaseChange(ms), BaseChange(ms)
+        w = W([(1, 1), (3, -1), (2, 1), (4, 1)])
+        first = apply_base_change(a, w)
+        assert apply_base_change(a, w) == first
+        assert a == b and hash(a) == hash(b)
+        assert {a: "cached"}[b] == "cached"
+        assert apply_base_change(b, w) == first == replay_moves(a, w)
+        assert a != BaseChange(ms[:-1])
 
     def test_fuzz_reduction_from_raw_letters(self):
         rng = random.Random(7)
