@@ -22,7 +22,6 @@ from .complexes import (
     SubcomplexSpec,
     from_presentation,
     homology,
-    subcomplex_complex,
     telescope,
 )
 from .intmat import NotUnimodular, SparseIntMatrix, smith_normal_form
@@ -347,7 +346,8 @@ def cmd_telescope(args: argparse.Namespace) -> int:
     )
     filtration = Filtration(p, stages)
     tower = telescope(filtration)
-    final = subcomplex_complex(p, stages[-1])
+    # Filtration accepts only a final stage that is the whole complex.
+    final = from_presentation(p)
     tele_h = homology(tower)
     final_h = homology(final)
     findings = {

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intmat import SparseIntMatrix, rank, smith_normal_form
-from .presentations import Presentation, exponent_matrix, subpresentation
+from .presentations import Presentation, _check_closed, exponent_matrix, subpresentation
 from .words import Word
 
 
@@ -182,7 +182,8 @@ def subcomplex_complex(p: Presentation, s: SubcomplexSpec) -> TwoComplex:
 @dataclass(frozen=True)
 class Filtration:
     """Increasing chain of subcomplexes of a presentation complex, ending
-    at the whole complex."""
+    at the whole complex.  A stage whose relators use a generator outside
+    it raises DanglingRelator, checked on the index sets alone."""
 
     base: Presentation
     stages: tuple[SubcomplexSpec, ...]
@@ -196,7 +197,7 @@ class Filtration:
                 self.base.relators
             ):
                 raise ValueError("stage ambient window does not match the base")
-            subpresentation(self.base, s.gens, s.rels)  # closure check
+            _check_closed(self.base, s.gens, s.rels)
         for prev, cur in zip(self.stages, self.stages[1:]):
             if not (prev.gens <= cur.gens and prev.rels <= cur.rels):
                 raise ValueError("filtration stages must be increasing")

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import HomologyReport, SubcomplexSpec
-from .presentations import Presentation, WindowMismatch, is_homology_trivial_unit
-from .words import Word
+from .presentations import Presentation
+from .words import Word, word_to_text
 
 
 class NotHomologyTrivialUnit(Exception):
@@ -57,8 +57,6 @@ class SurgeryCode:
                     )
 
     def to_json(self) -> dict:
-        from .words import word_to_text
-
         return {
             "handles": self.n_handles,
             "components": [word_to_text(k) for k in self.components],
@@ -79,21 +77,19 @@ def build_surgery_code(p: Presentation) -> SurgeryCode:
     """Realize a homology-trivial unit-group presentation as a surgery code.
 
     Component j is the relator word r_j verbatim; the identity exponent
-    matrix is exactly the intersection-number normalization.
+    matrix is exactly the intersection-number normalization, so the one
+    check is `SurgeryCode`'s, and its failure is NotHomologyTrivialUnit.
     """
     try:
-        ok = is_homology_trivial_unit(p)
-    except WindowMismatch as exc:
+        return SurgeryCode(p.n_generators, p.relators)
+    except ValueError as exc:
         raise NotHomologyTrivialUnit(str(exc)) from exc
-    if not ok:
-        raise NotHomologyTrivialUnit("exponent matrix is not the identity")
-    return SurgeryCode(p.n_generators, p.relators)
 
 
-def _check_selection(sc: SurgeryCode, sel: SublinkSelection) -> None:
-    for j in sel.fill:
-        if not 1 <= j <= len(sc.components):
-            raise BadSelection(f"component index {j} outside 1..{len(sc.components)}")
+def _check_fill(fill: frozenset[int], n_components: int) -> None:
+    for j in fill:
+        if not 1 <= j <= n_components:
+            raise BadSelection(f"component index {j} outside 1..{n_components}")
 
 
 def exterior(sc: SurgeryCode, sel: SublinkSelection) -> Presentation:
@@ -102,7 +98,7 @@ def exterior(sc: SurgeryCode, sel: SublinkSelection) -> Presentation:
     The empty selection gives the free group of rank n; the full selection
     returns the original presentation.
     """
-    _check_selection(sc, sel)
+    _check_fill(sel.fill, len(sc.components))
     relators = tuple(sc.components[j - 1] for j in sorted(sel.fill))
     return Presentation(sc.n_handles, relators)
 
@@ -118,7 +114,7 @@ def exterior_homology(sc: SurgeryCode, sel: SublinkSelection) -> HomologyReport:
     and chi = 1 - n + |F|, exactly what `homology(from_presentation(
     exterior(sc, sel)))` returns.
     """
-    _check_selection(sc, sel)
+    _check_fill(sel.fill, len(sc.components))
     n, f = sc.n_handles, len(sel.fill)
     return HomologyReport(1, n - f, (), 0, 1 - n + f)
 
@@ -137,9 +133,7 @@ def sublink_to_subcomplex(
     sel: SublinkSelection, n_generators: int, n_components: int
 ) -> SubcomplexSpec:
     """Inverse transport: the 1-full subcomplex whose relators are the fill."""
-    for j in sel.fill:
-        if not 1 <= j <= n_components:
-            raise BadSelection(f"component index {j} outside 1..{n_components}")
+    _check_fill(sel.fill, n_components)
     return SubcomplexSpec(
         frozenset(range(1, n_generators + 1)), sel.fill, n_generators, n_components
     )

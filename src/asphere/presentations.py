@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .intmat import (
     ElementaryOp,
@@ -34,7 +34,7 @@ class WindowMismatch(Exception):
     """Relator count and generator count disagree on the window."""
 
 
-class DanglingRelator(Exception):
+class DanglingRelator(ValueError):
     """A selected relator uses an unselected generator."""
 
 
@@ -126,16 +126,20 @@ def subpresentation(
         if not 1 <= j <= len(p.relators):
             raise ValueError(f"relator index {j} outside window")
     renumber = {old: new for new, old in enumerate(gen_set, start=1)}
-    new_relators = []
-    for j in rel_set:
-        r = p.relators[j - 1]
-        missing = r.indices() - renumber.keys()
+    _check_closed(p, renumber.keys(), rel_set)
+    new_relators = tuple(p.relators[j - 1].rename(renumber) for j in rel_set)
+    return Presentation(len(gen_set), new_relators)
+
+
+def _check_closed(p: Presentation, gens: AbstractSet[int], rels: Iterable[int]) -> None:
+    """Raise DanglingRelator for the first selected relator, by index, that
+    uses a generator outside `gens`; indices must lie in the window."""
+    for j in sorted(rels):
+        missing = p.relators[j - 1].indices() - gens
         if missing:
             raise DanglingRelator(
                 f"relator {j} uses unselected generator {min(missing)}"
             )
-        new_relators.append(r.rename(renumber))
-    return Presentation(len(gen_set), tuple(new_relators))
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,34 @@ class TestTelescope:
     @pytest.mark.parametrize(
         "spec",
         [
+            [{"gens": [1], "rels": [1]}, {"gens": [1, 2], "rels": [1]}],
+            [{"gens": [1, 2], "rels": [1]}, {"gens": [2], "rels": [1]}],
+        ],
+        ids=["dangling", "decreasing"],
+    )
+    def test_dangling_stage_exit_2(self, run, tmp_path, spec):
+        f = write(tmp_path, "p.txt", "gens: 2\nrel r: g1 g2 g1^-1 g2^-1\n")
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps(spec))
+        code, out, err = run("telescope", f, "--stages", str(stages))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: relator 1 uses unselected generator")
+
+    def test_final_stage_homology_is_the_homology_report(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", "gens: 2\nrel r1: g1^2\nrel r2: g2^3 g1\n")
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([{"gens": [1], "rels": [1]}, {"gens": [1, 2], "rels": [1, 2]}]))
+        code, out, _ = run("telescope", f, "--stages", str(stages))
+        assert code == 0
+        final = json.loads(out)["findings"]["final_stage_homology"]
+        code, out, _ = run("homology", f)
+        assert code == 0
+        assert final == json.loads(out)["findings"]
+        assert final["H1"]["torsion"] == [6]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
             [{"gens": [1, 2]}],
             {"gens": [1, 2], "rels": [1, 2]},
             [{"gens": 3, "rels": [1]}],

@@ -1,11 +1,14 @@
 """Presentation complexes, cellular homology, subcomplexes, and the collar
 telescope over a filtration."""
 
+import operator
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from asphere import (
+    DanglingRelator,
     Filtration,
     Presentation,
     SparseIntMatrix,
@@ -17,6 +20,7 @@ from asphere import (
     homology,
     is_homologically_contractible,
     onefull_hull,
+    subpresentation,
     telescope,
 )
 from asphere.complexes import (
@@ -35,6 +39,30 @@ def P(n, *relator_texts):
 
 
 TORUS = P(2, "g1 g2 g1^-1 g2^-1")
+
+
+@st.composite
+def presentations_with_stages(draw):
+    """A random presentation on 1-3 generators and 1-4 relators of length
+    at most 3, with 1-4 random stages, so dangling (also past the first
+    selected relator), decreasing and ambient-mismatched stages all come
+    up; half the time the whole complex is appended as a last stage."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    letters = st.builds(operator.mul, st.integers(min_value=1, max_value=n), st.sampled_from((1, -1)))
+    words = st.builds(lambda ls: Word(tuple(ls)), st.lists(letters, max_size=3))
+    p = Presentation(n, tuple(draw(st.lists(words, min_size=1, max_size=4))))
+    m = len(p.relators)
+
+    def subset(k):
+        return st.frozensets(st.integers(min_value=1, max_value=k)) if k else st.just(frozenset())
+
+    stages = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        a, b = draw(st.sampled_from([(n, m)] * 12 + [(n + 1, m), (n, m + 1), (n - 1, m)]))
+        stages.append(SubcomplexSpec(draw(subset(a)), draw(subset(b)), a, b))
+    if draw(st.booleans()):
+        stages.append(full_spec(p))
+    return p, tuple(stages)
 
 
 class TestTwoComplex:
@@ -170,8 +198,33 @@ class TestFiltration:
 
     def test_stages_must_be_closed(self):
         dangling = SubcomplexSpec(frozenset({1}), frozenset({1}), 2, 1)
-        with pytest.raises(Exception):
+        with pytest.raises(DanglingRelator):
             Filtration(TORUS, (dangling, full_spec(TORUS)))
+
+    @given(presentations_with_stages())
+    def test_closure_check_agrees_with_subpresentation(self, case):
+        """Stages are checked in order, the ambient window before closure:
+        Filtration raises DanglingRelator, with the same message, exactly
+        when building a sub-presentation raises it on the first stage that
+        fails either check."""
+        p, stages = case
+        expected = None
+        for s in stages:
+            if (s.ambient_gens, s.ambient_rels) != (p.n_generators, len(p.relators)):
+                break
+            try:
+                subpresentation(p, s.gens, s.rels)
+            except DanglingRelator as exc:
+                expected = str(exc)
+                break
+        try:
+            Filtration(p, stages)
+            got = None
+        except DanglingRelator as exc:
+            got = str(exc)
+        except ValueError:
+            got = None
+        assert got == expected
 
     def test_ambient_window_must_match(self):
         alien = SubcomplexSpec(frozenset({1}), frozenset(), 1, 0)

@@ -1,9 +1,11 @@
 """Surgery codes, sublink filling, and the subcomplex correspondence."""
 
 import itertools
+import operator
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from asphere import (
     BadSelection,
@@ -13,10 +15,12 @@ from asphere import (
     SublinkSelection,
     SubcomplexSpec,
     SurgeryCode,
+    WindowMismatch,
     Word,
     build_surgery_code,
     exterior,
     exterior_homology,
+    is_homology_trivial_unit,
     subcomplex_to_sublink,
     sublink_to_subcomplex,
     verify_meridian_correspondence,
@@ -39,6 +43,28 @@ def P(n, *relator_texts):
 
 # Identity exponent matrix on two generators.
 UNIT = P(2, "g1 g2 g1^-1 g2^-1 g1", "g2 g1 g2 g1^-1 g2^-1")
+
+
+@st.composite
+def presentations_near_unit(draw):
+    """0-4 generators and, half the time, as many relators as generators,
+    otherwise 0-5.  Each relator is a random word followed by a tail that
+    makes its exponent sums the Kronecker delta, except that one relator in
+    four is off by one in one generator, on or off the diagonal."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    m = n if draw(st.booleans()) else draw(st.integers(min_value=0, max_value=5))
+    letters = st.builds(operator.mul, st.integers(min_value=1, max_value=max(n, 1)), st.sampled_from((1, -1)))
+    misses = [(i, e) for i in range(1, n + 1) for e in (1, -1)]
+    relators = []
+    for j in range(1, m + 1):
+        r = Word(tuple(draw(st.lists(letters, max_size=6)))) if n else Word(())
+        miss = draw(st.sampled_from([None] * len(misses) * 3 + misses)) if n else None
+        for i in range(1, n + 1):
+            want = (1 if i == j else 0) + (miss[1] if miss and miss[0] == i else 0)
+            d = want - r.exponent_sum(i)
+            r = r * Word.from_pairs([(i, 1 if d > 0 else -1)] * abs(d))
+        relators.append(r)
+    return Presentation(n, tuple(relators))
 
 
 class TestSurgeryCode:
@@ -75,6 +101,20 @@ class TestBuildSurgeryCode:
     def test_rejects_unbalanced(self):
         with pytest.raises(NotHomologyTrivialUnit):
             build_surgery_code(P(1))
+
+    @given(presentations_near_unit())
+    def test_one_check_agrees_with_exponent_matrix(self, p):
+        """`SurgeryCode`'s check accepts exactly the presentations whose
+        exponent matrix is the identity on the window."""
+        try:
+            unit = is_homology_trivial_unit(p)
+        except WindowMismatch:
+            unit = False
+        if unit:
+            assert build_surgery_code(p).components == p.relators
+        else:
+            with pytest.raises(NotHomologyTrivialUnit):
+                build_surgery_code(p)
 
     def test_fuzz_normalized_presentations(self):
         from asphere import normalize
