@@ -1,0 +1,44 @@
+#!/usr/bin/env python3
+"""Span accounting of a traced benchmark run, read off its spans file.
+
+`perfbench/run.py --trace 1` keeps the spans of its traced passes in
+`.bench_work/spans-<workload>-s<seed>.jsonl` and prints `"correct": false`
+when the traced jobs' wall time exceeds the sum of their layer self times
+by more than `UNATTRIBUTED_TOTAL_SHARE`.  This prints that excess with the
+same `perfbench.trace` functions: the traced jobs, the unattributed
+seconds, their share of the jobs' wall time against the bound, the mean
+unattributed microseconds per job, and the number of unaccounted jobs.
+
+Usage: python scripts/trace_share.py .bench_work/spans-probe-finite-s1.jsonl
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.trace import UNATTRIBUTED_TOTAL_SHARE, analyze, unaccounted_jobs  # noqa: E402
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("spans_file", type=Path)
+    args = parser.parse_args()
+
+    analysis = analyze(args.spans_file)
+    jobs = analysis["jobs"].values()
+    wall = sum(w for w, _, _ in jobs)
+    unattributed = sum(w - layered for w, layered, _ in jobs)
+    share = unattributed / wall if wall else 0.0
+    print(f"traced jobs: {len(jobs)}")
+    print(f"unattributed: {unattributed:.6f} s of {wall:.6f} s")
+    print(f"share: {share:.4%} (bound {UNATTRIBUTED_TOTAL_SHARE:.0%})")
+    print(f"mean per job: {unattributed / len(jobs) * 1e6 if jobs else 0.0:.1f} us")
+    print(f"unaccounted jobs: {unaccounted_jobs(analysis)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

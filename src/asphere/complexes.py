@@ -67,11 +67,9 @@ def chain_complex(c: TwoComplex) -> tuple[SparseIntMatrix, SparseIntMatrix]:
     """Cellular boundary maps (d2, d1); d1 . d2 = 0."""
     d1_entries: dict[tuple[int, int], int] = {}
     for j, (s, t) in enumerate(c.edges, start=1):
-        delta = {t: 1}
-        delta[s] = delta.get(s, 0) - 1
-        for i, v in delta.items():
-            if v:
-                d1_entries[(i, j)] = v
+        if s != t:  # a loop bounds nothing
+            d1_entries[(t, j)] = 1
+            d1_entries[(s, j)] = -1
     d1 = SparseIntMatrix(c.n_vertices, len(c.edges), d1_entries)
     d2 = exponent_matrix(Presentation(len(c.edges), c.faces))
     return d2, d1

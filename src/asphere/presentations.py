@@ -262,17 +262,16 @@ def parse_presentation_text(text: str) -> ParsedPresentation:
             if m is None:
                 raise ParseError("malformed rel line", lineno, indent)
             name, word_text = m.group(1), m.group(2)
-            word_col = line.index(":", line.index("rel")) + 2
+            word_start = indent - 1 + m.start(2)  # 0-based, in `line`
             try:
                 word = _parse_word(word_text, names_map, runs)
             except WordSyntaxError as exc:
-                offset = line.find(word_text) if word_text else word_col
-                raise ParseError(str(exc), lineno, max(offset, 0) + exc.col) from exc
+                raise ParseError(str(exc), lineno, word_start + exc.col) from exc
             if word.max_index() > n_generators:
                 raise ParseError(
                     f"relator uses generator g{word.max_index()} beyond window",
                     lineno,
-                    word_col,
+                    word_start + 1,
                 )
             rel_names.append(name)
             relators.append(word)

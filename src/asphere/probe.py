@@ -3,11 +3,12 @@
 A fundamental group whose abelianization H1 has positive free rank is
 infinite, so no coset table can complete and the probe stops there; this
 covers every presentation with fewer relators than generators.  Otherwise
-bounded HLT coset enumeration detects finite quotients; the free
-differential calculus lifts the boundary matrix over the group ring, which
-the left-regular representation turns into an integer block matrix whose
-rational kernel rank bounds the rank of the second homotopy group from
-below when the fundamental group is the enumerated finite group.
+bounded HLT coset enumeration detects finite quotients; walking each
+relator from each coset lifts the boundary matrix to the universal cover,
+an integer block matrix (the Fox derivatives under the left-regular
+representation) whose rational kernel rank bounds the rank of the second
+homotopy group from below when the fundamental group is the enumerated
+finite group.
 """
 
 from __future__ import annotations
@@ -51,11 +52,6 @@ class CosetTable:
 
     def act(self, coset: int, x: int) -> int:
         return self.action[coset - 1][_column(x)]
-
-    def trace(self, coset: int, w: Word) -> int:
-        for x in w:
-            coset = self.act(coset, x)
-        return coset
 
 
 class _Overflow(Exception):
@@ -201,9 +197,13 @@ def fox_derivative(r: Word, i: int) -> dict[Word, int]:
 def lifted_boundary(p: Presentation, t: CosetTable) -> SparseIntMatrix:
     """Block matrix of the derivatives under the left-regular representation.
 
-    Block (i, j) realizes d(r_j)/d(x_i) on the N cosets of a complete
-    table: the lift of face j based at coset g carries the Fox term w on
-    the lift of edge i based at g.w.  With N = 1 this collapses to the
+    Column (j-1)N + a, on the N cosets of a complete table, is the lift of
+    face j based at coset a: walk r_j from a.  Reading x_i at coset h adds
+    +1 at the lift of edge i based at h; reading x_i^-1 at h crosses the
+    lift of edge i based at h.x_i^-1 backwards and adds -1 there.  Block
+    (i, j) is thus d(r_j)/d(x_i) (Fox, Ann. of Math. 57, 1953).  The walk
+    ends at a because r_j = 1 in G; a table where it does not is not one
+    of p, which raises AssertionError.  With N = 1 this collapses to the
     exponent matrix.
     """
     if not t.is_complete:
@@ -211,16 +211,18 @@ def lifted_boundary(p: Presentation, t: CosetTable) -> SparseIntMatrix:
     n, m, size = p.n_generators, len(p.relators), t.n_cosets
     entries: dict[tuple[int, int], int] = {}
     for j, r in enumerate(p.relators, start=1):
-        for i in range(1, n + 1):
-            for w, coeff in fox_derivative(r, i).items():
-                for alpha in range(1, size + 1):
-                    target = t.trace(alpha, w)
-                    key = ((i - 1) * size + target, (j - 1) * size + alpha)
-                    v = entries.get(key, 0) + coeff
-                    if v:
-                        entries[key] = v
-                    else:
-                        entries.pop(key, None)
+        for a in range(1, size + 1):
+            col, h = (j - 1) * size + a, a
+            for x in r:
+                if x > 0:
+                    key, v = ((x - 1) * size + h, col), 1
+                    h = t.act(h, x)
+                else:
+                    h = t.act(h, x)
+                    key, v = ((-x - 1) * size + h, col), -1
+                entries[key] = entries.get(key, 0) + v
+            if h != a:
+                raise AssertionError(f"relator {j} does not close at coset {a}")
     return SparseIntMatrix(n * size, m * size, entries)
 
 

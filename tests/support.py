@@ -7,6 +7,8 @@ import random
 from asphere import (
     AddMultiple,
     BaseChange,
+    CosetTable,
+    IncompleteTable,
     Invert,
     NegateRow,
     Presentation,
@@ -19,6 +21,7 @@ from asphere import (
     apply_base_change,
     apply_move,
     apply_row_ops,
+    fox_derivative,
     smith_normal_form,
 )
 from asphere.complexes import Filtration, SubcomplexSpec
@@ -176,3 +179,30 @@ def random_filtration(rng: random.Random, p: Presentation, n_stages: int) -> Fil
             gens = set(range(1, n_gens + 1))
         stages.append(SubcomplexSpec(frozenset(gens), frozenset(rels), n_gens, n_rels))
     return Filtration(p, tuple(stages))
+
+
+def fox_lifted_boundary(p: Presentation, t: CosetTable) -> SparseIntMatrix:
+    """Oracle for `lifted_boundary`: block (i, j) from the formal Fox
+    derivative d(r_j)/d(x_i), each term w traced from every coset.
+
+    The lift of face j based at coset g carries the Fox term w on the lift
+    of edge i based at g.w.
+    """
+    if not t.is_complete:
+        raise IncompleteTable("lifted boundary needs a complete coset table")
+    n, m, size = p.n_generators, len(p.relators), t.n_cosets
+    entries: dict[tuple[int, int], int] = {}
+    for j, r in enumerate(p.relators, start=1):
+        for i in range(1, n + 1):
+            for w, coeff in fox_derivative(r, i).items():
+                for alpha in range(1, size + 1):
+                    target = alpha
+                    for x in w:
+                        target = t.act(target, x)
+                    key = ((i - 1) * size + target, (j - 1) * size + alpha)
+                    v = entries.get(key, 0) + coeff
+                    if v:
+                        entries[key] = v
+                    else:
+                        entries.pop(key, None)
+    return SparseIntMatrix(n * size, m * size, entries)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from asphere import Presentation, probe
 from asphere.cli import _dumps, _load_presentation, main
 from asphere.words import parse_word
 
@@ -410,6 +411,16 @@ class TestPi2Probe:
         assert code == 0
         assert report["findings"]["verdict"] == "inconclusive"
         assert report["findings"]["reason"] == "infinite: H1 has positive free rank"
+
+    def test_table_of_another_group_exit_3(self, run, tmp_path, monkeypatch):
+        # The table of Z3 is complete, but g1^2 does not close on it.
+        enumerate_ = probe.coset_enumerate
+        z3 = Presentation(1, (parse_word("g1^3"),))
+        monkeypatch.setattr(probe, "coset_enumerate", lambda p, limit: enumerate_(z3, limit))
+        f = write(tmp_path, "p.txt", "gens: 1\nrel r: g1^2\n")
+        code, out, err = run("pi2probe", f, "--limit", "32")
+        assert (code, out) == (3, "")
+        assert "relator 1 does not close at coset 1" in err
 
     def test_nonpositive_limit_exit_2(self, run, tmp_path):
         f = write(tmp_path, "p.txt", "gens: 2\nrel r: g1 g2 g1^-1 g2^-1\n")

@@ -248,6 +248,22 @@ class TestTextFormat:
         assert (exc.value.line, exc.value.col) == (3, 12)
         assert "unknown generator 'c'" in str(exc.value)
 
+    def test_word_column_after_a_name_that_holds_the_word(self):
+        # The relator name q also spells the word q; the error points at
+        # the word.
+        with pytest.raises(ParseError) as exc:
+            parse_presentation_text("gens: a\nrel q: q\n")
+        assert (exc.value.line, exc.value.col) == (2, 8)
+        assert "unknown generator 'q'" in str(exc.value)
+
+    def test_beyond_window_column_is_the_word_start(self):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation_text("gens: 2\nrel r:    g3\n")
+        assert (exc.value.line, exc.value.col) == (2, 11)
+        with pytest.raises(ParseError) as exc:
+            parse_presentation_text("gens: 2\n  rel r: g1 g3\n")
+        assert (exc.value.line, exc.value.col) == (2, 10)
+
     def test_unrecognized_line(self):
         with pytest.raises(ParseError):
             parse_presentation_text("gens: 1\nfoo bar\n")

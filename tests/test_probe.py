@@ -22,7 +22,7 @@ from asphere import (
 from asphere.intmat import mat_vec, rank
 from asphere.words import parse_word
 
-from support import random_word
+from support import fox_lifted_boundary, random_word
 
 
 def P(n, *relator_texts):
@@ -57,6 +57,37 @@ def mat_mul(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
             if k == k2:
                 out[(i, j)] = out.get((i, j), 0) + v * w
     return SparseIntMatrix(a.rows, b.cols, out)
+
+
+def disguise(rng: random.Random, p: Presentation) -> Presentation:
+    """The same group: each relator rotated and, half the time, inverted."""
+    out = []
+    for r in p.relators:
+        k = rng.randrange(len(r))
+        r = Word(r.letters[k:] + r.letters[:k])
+        out.append(r.inverse() if rng.random() < 0.5 else r)
+    return Presentation(p.n_generators, tuple(out))
+
+
+def power(text: str, k: int) -> str:
+    return " ".join([text] * k)
+
+
+# (name, presentation, |G|): the shapes of the finite groups the probe is
+# benchmarked on.
+FINITE_GROUPS = (
+    [(f"Z{n}", P(1, f"g1^{n}"), n) for n in range(2, 14)]
+    + [(f"D{n}", P(2, f"g1^{n}", "g2^2", power("g1 g2", 2)), 2 * n) for n in range(3, 13)]
+    + [
+        ("Q8", P(2, "g1 g2 g1 g2^-1", "g2 g1 g2 g1^-1"), 8),
+        ("A4", P(2, "g1^2", "g2^3", power("g1 g2", 3)), 12),
+        ("S4", P(2, "g1^2", "g2^3", power("g1 g2", 4)), 24),
+        ("A5", P(2, "g1^2", "g2^3", power("g1 g2", 5)), 60),
+        ("SL2_5", P(2, "g1^3 g2^-5", "g1^3 g2^-1 g1^-1 g2^-1 g1^-1"), 120),
+        ("S5", P(2, "g1^5", "g2^2", power("g1 g2", 4), power("g1^-1 g2 g1 g2", 3)), 120),
+        ("PSL2_7", P(2, "g1^2", "g2^3", power("g1 g2", 7), power("g1 g2 g1^-1 g2^-1", 4)), 168),
+    ]
+)
 
 
 NON_ABELIAN = {
@@ -125,7 +156,10 @@ class TestCosetEnumeration:
             t = coset_enumerate(p, 64)
             for r in p.relators:
                 for c in range(1, t.n_cosets + 1):
-                    assert t.trace(c, r) == c
+                    h = c
+                    for x in r:
+                        h = t.act(h, x)
+                    assert h == c
 
     def test_generators_act_by_permutations(self):
         t = coset_enumerate(P(2, "g1^2", "g2^3", "g1 g2 g1 g2"), 64)
@@ -208,6 +242,41 @@ class TestLiftedBoundary:
         assert t.is_complete and t.n_cosets == order
         d2 = lifted_boundary(p, t)
         assert mat_mul(lifted_d1(t), d2).entries == {}
+
+    def test_walk_matches_fox_oracle_on_finite_groups(self):
+        rng = random.Random(1515)
+        for name, p, order in FINITE_GROUPS:
+            p = disguise(rng, p)
+            t = coset_enumerate(p, 4096)
+            assert t.is_complete and t.n_cosets == order, name
+            assert lifted_boundary(p, t) == fox_lifted_boundary(p, t), name
+
+    def test_walk_matches_fox_oracle_on_random_presentations(self):
+        # Relators are random words with inverse letters, some raised to a
+        # power; only presentations whose tables complete are compared.
+        rng = random.Random(1516)
+        compared = nontrivial = 0
+        while compared < 200:
+            n = rng.randint(1, 3)
+            relators = []
+            for _ in range(rng.randint(n, n + 2)):
+                w = random_word(rng, n, 4)
+                relators.append(Word(w.letters * rng.randint(1, 4)))
+            p = Presentation(n, tuple(relators))
+            t = coset_enumerate(p, 64)
+            if t.is_complete:
+                assert lifted_boundary(p, t) == fox_lifted_boundary(p, t), p
+                compared += 1
+                nontrivial += t.n_cosets > 1
+        assert nontrivial >= 50
+
+    def test_table_of_another_presentation_raises(self):
+        z3 = coset_enumerate(P(1, "g1^3"), 16)
+        with pytest.raises(AssertionError, match="relator 1 does not close at coset 1"):
+            lifted_boundary(P(1, "g1^2"), z3)
+        s3 = coset_enumerate(NON_ABELIAN["S3"][0], 64)
+        with pytest.raises(AssertionError, match="relator 2 does not close at coset 1"):
+            lifted_boundary(P(2, "g1^2", "g2^2"), s3)
 
     def test_window_shape(self):
         p = P(1, "g1^3")

@@ -40,3 +40,39 @@ def test_report_digest_is_repeatable():
         assert result.returncode == 0, result.stdout + result.stderr
         assert re.fullmatch(r"[0-9a-f]{64}\n", result.stdout), result.stdout
     assert first.stdout == second.stdout
+
+
+def test_trace_share_reads_span_accounting(tmp_path):
+    # Two traced jobs of 1 s wall time each; the second one's command spans
+    # a layer call.  Job 2's command ends `end2` s into the job.
+    def spans_file(end2: float) -> str:
+        path = tmp_path / f"spans-{end2}.jsonl"
+        path.write_text(
+            '{"names": ["bench.job", "gc.collect", "cli.main", "probe.lifted_boundary"]}\n'
+            "[0, 0.0, 1.0, -1, 1]\n"
+            "[2, 0.0, 0.999, 0, 1]\n"
+            "[0, 2.0, 3.0, -1, 2]\n"
+            f"[2, 2.0, {2.0 + end2}, 2, 2]\n"
+            "[3, 2.1, 2.5, 3, 2]\n"
+        )
+        return str(path)
+
+    result = run_script("trace_share.py", spans_file(0.998))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        "traced jobs: 2",
+        "unattributed: 0.003000 s of 2.000000 s",
+        "share: 0.1500% (bound 1%)",
+        "mean per job: 1500.0 us",
+        "unaccounted jobs: 0",
+    ]
+    # 31 ms unattributed of 2 s is past the 1% total share, so every job
+    # counts as unaccounted.
+    result = run_script("trace_share.py", spans_file(0.97))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[1:] == [
+        "unattributed: 0.031000 s of 2.000000 s",
+        "share: 1.5500% (bound 1%)",
+        "mean per job: 15500.0 us",
+        "unaccounted jobs: 2",
+    ]
