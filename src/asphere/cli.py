@@ -66,7 +66,7 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _report(command: str, paths: list[Path], config: dict, findings: dict, warnings: list[str]) -> dict:
+def _report(command: str, paths: list[Path], config: dict, findings: object, warnings: list[str]) -> dict:
     return {
         "tool": "asphere",
         "version": __version__,
@@ -78,7 +78,7 @@ def _report(command: str, paths: list[Path], config: dict, findings: dict, warni
     }
 
 
-def _dumps(v, pad: str = "\n") -> str:
+def _dumps(v, pad: str = "\n", memo: dict | None = None) -> str:
     """`json.dumps(v, indent=2, sort_keys=True)`, byte for byte.
 
     With `indent`, `json.dumps` runs the pure-Python encoder; this one writes
@@ -86,7 +86,9 @@ def _dumps(v, pad: str = "\n") -> str:
     escaping strings through the same `encode_basestring_ascii`, and hands
     anything else to `json.dumps`, re-indented.  That is exact because an
     ASCII-escaped JSON text has no newline inside a string.  `pad` is a
-    newline plus the indent of the value's own line.
+    newline plus the indent of the value's own line.  A hashable report
+    object with `to_json` is written as its `to_json()`, rendered once per
+    (value, pad) into `memo`; the top-level call makes it for one document.
     """
     t = type(v)
     if t is str:
@@ -99,23 +101,29 @@ def _dumps(v, pad: str = "\n") -> str:
         return "false"
     if t is int:
         return int.__repr__(v)
+    memo = {} if memo is None else memo
     inner = pad + "  "
     if t is list or t is tuple:
         if not v:
             return "[]"
-        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in v]) + pad + "]"
+        items = [encode_basestring_ascii(x) if type(x) is str else int.__repr__(x) if type(x) is int
+                 else _dumps(x, inner, memo) for x in v]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if t is dict and all(type(k) is str for k in v):
         if not v:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _dumps(v[k], inner) for k in sorted(v)]
+        items = [encode_basestring_ascii(k) + ": " + (encode_basestring_ascii(x) if type(x) is str else
+                 int.__repr__(x) if type(x) is int else _dumps(x, inner, memo)) for k, x in sorted(v.items())]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if hasattr(v, "to_json"):  # a report object: one lookup per repeat
+        return memo.get((v, pad)) or memo.setdefault((v, pad), _dumps(v.to_json(), pad, memo))
     return json.dumps(v, indent=2, sort_keys=True).replace("\n", pad)
 
 
 def _emit(report: dict) -> None:
-    """Print `report` exactly as `json.dumps(report, indent=2, sort_keys=True)`
-    would, byte for byte (see `_dumps`), so reports stay byte-identical to
-    those of that encoder."""
+    """Print `report` as `json.dumps(report, indent=2, sort_keys=True)` would
+    with each report object as its `to_json()`, byte for byte; the memo of
+    `_dumps` lives for this one document, so each is rendered once per indent."""
     print(_dumps(report))
 
 
@@ -183,7 +191,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "locally_finite": {"ok": finite, "max_incidence": witness},
         "exponent_snf": list(diag),
         "unimodular": unimodular,
-        "homology": h.to_json(),
+        "homology": h,
         "homologically_contractible": contractible,
         "homology_trivial_unit": trivial_unit,
     }
@@ -262,11 +270,11 @@ def _selection_report(sc, texts: list[str], fill: frozenset[int], probe_limit: i
             "generators": sc.n_handles,
             "relators": [texts[j - 1] for j in filled],
         },
-        "homology": h.to_json(),
+        "homology": h,
         "exterior_asphericity": ASPHERICITY_NOTE,
     }
     if probe_limit is not None:
-        entry["probe"] = asphericity_verdict(exterior(sc, sel), probe_limit).to_json()
+        entry["probe"] = asphericity_verdict(exterior(sc, sel), probe_limit)
     return entry
 
 
@@ -322,7 +330,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         findings = {"rows": m.rows, "cols": m.cols, "snf": list(diag)}
     else:
         p = _load_presentation(path, args.window).presentation
-        findings = homology(from_presentation(p)).to_json()
+        findings = homology(from_presentation(p))
     _emit(_report("homology", [path], config, findings, []))
     return 0
 
@@ -358,8 +366,8 @@ def cmd_telescope(args: argparse.Namespace) -> int:
             "faces": len(tower.faces),
             "chi": tower.chi,
         },
-        "telescope_homology": tele_h.to_json(),
-        "final_stage_homology": final_h.to_json(),
+        "telescope_homology": tele_h,
+        "final_stage_homology": final_h,
         "homology_match": tele_h == final_h,
     }
     _emit(_report("telescope", [path, stages_path], _config(args, stages=str(stages_path)), findings, []))
@@ -370,7 +378,7 @@ def cmd_pi2probe(args: argparse.Namespace) -> int:
     path = Path(args.file)
     p = _load_presentation(path, args.window).presentation
     verdict = asphericity_verdict(p, args.limit)
-    _emit(_report("pi2probe", [path], _config(args, limit=args.limit), verdict.to_json(), []))
+    _emit(_report("pi2probe", [path], _config(args, limit=args.limit), verdict, []))
     return 1 if verdict.status == "not_aspherical" else 0
 
 

@@ -8,7 +8,11 @@ from hypothesis import given, strategies as st
 
 from asphere import Presentation, probe
 from asphere.cli import _dumps, _load_presentation, main
+from asphere.complexes import HomologyReport
+from asphere.probe import Verdict
 from asphere.words import parse_word
+
+DATA = Path(__file__).parent / "data"
 
 
 SCRAMBLED = "gens: a b\nrel r1: a b a^-1 b^-2\nrel r2: b a b^-1 a^-2\n"
@@ -201,6 +205,28 @@ class TestSublinks:
         code, out, _ = run("sublinks", "p.txt", "--fill", "2")
         assert code == 0
         assert out == FILL_2_REPORT
+
+    def test_enumerated_probed_report_bytes_pinned(self, run, tmp_path, monkeypatch):
+        # Three components: the empty fill is a graph (aspherical), the six
+        # proper fills have H1 of positive rank (inconclusive), and the full
+        # fill presents the trivial group (aspherical).  Equal homology and
+        # verdicts recur across selections.
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "p.txt", UNIT3)
+        code, out, _ = run("sublinks", "p.txt", "--enumerate", "--probe-limit", "64")
+        assert code == 0
+        assert out == (DATA / "sublinks_unit3_enumerate_probe64.json").read_text()
+        selections = json.loads(out)["findings"]["selections"]
+        assert [(len(s["fill"]), s["homology"]["H1"]["rank"], s["probe"]["verdict"]) for s in selections] == [
+            (0, 3, "aspherical"),
+            (1, 2, "inconclusive"),
+            (1, 2, "inconclusive"),
+            (2, 1, "inconclusive"),
+            (1, 2, "inconclusive"),
+            (2, 1, "inconclusive"),
+            (2, 1, "inconclusive"),
+            (3, 0, "aspherical"),
+        ]
 
     @pytest.mark.parametrize("fill", ["9", "0", "1,3"])
     def test_missing_component_exit_2(self, run, tmp_path, fill):
@@ -495,10 +521,71 @@ json_values = st.recursive(
 )
 
 
+small = st.integers(min_value=-3, max_value=3)
+maybe_small = st.none() | st.integers(min_value=0, max_value=3)
+report_objects = st.one_of(
+    st.builds(HomologyReport, small, small, st.lists(st.integers(2, 4), max_size=2).map(tuple), small, small),
+    st.builds(
+        Verdict,
+        st.sampled_from(["aspherical", "not_aspherical", "inconclusive"]),
+        maybe_small,
+        maybe_small,
+        st.none() | st.lists(small, max_size=3).map(tuple),
+        st.sampled_from(["r", "s\u00e9"]),
+    ),
+)
+# Small fields, so equal but distinct report objects recur in one document.
+values_with_reports = st.recursive(
+    json_scalars | report_objects,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(json_text, kids, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def expand(v):
+    """`v` with each report object replaced by its `to_json()`."""
+    if isinstance(v, (HomologyReport, Verdict)):
+        return expand(v.to_json())
+    if isinstance(v, (list, tuple)):
+        return [expand(x) for x in v]
+    if isinstance(v, dict):
+        return {k: expand(x) for k, x in v.items()}
+    return v
+
+
 class TestWriter:
     @given(json_values)
     def test_dumps_is_json_dumps_byte_for_byte(self, v):
         assert _dumps(v) == json.dumps(v, indent=2, sort_keys=True)
+
+    @given(values_with_reports)
+    def test_report_objects_are_written_as_their_to_json(self, v):
+        assert _dumps(v) == json.dumps(expand(v), indent=2, sort_keys=True)
+
+    def test_one_report_object_at_two_indents(self, monkeypatch):
+        # h and an equal copy at one indent, h twice at the next one: two
+        # renders per document.
+        h = HomologyReport(1, 2, (3, 6), 0, 0)
+        v = [h, HomologyReport(1, 2, (3, 6), 0, 0), {"a": h}, [h]]
+        expected = json.dumps(expand(v), indent=2, sort_keys=True)
+        calls = []
+        to_json = HomologyReport.to_json
+        monkeypatch.setattr(HomologyReport, "to_json", lambda h: calls.append(h) or to_json(h))
+        assert _dumps(v) == expected and len(calls) == 2
+        assert _dumps(v) == expected and len(calls) == 4
+
+    def test_equal_but_distinct_report_objects(self):
+        v1 = Verdict("inconclusive", None, None, None, "infinite: H1 has positive free rank")
+        v2 = Verdict("inconclusive", None, None, None, "infinite: H1 has positive free rank")
+        w = Verdict("not_aspherical", 2, 1, (1, -1), "witness")
+        h1, h2 = HomologyReport(1, 0, (), 0, 1), HomologyReport(1, 0, (), 0, 1)
+        assert v1 == v2 and v1 is not v2 and h1 == h2 and h1 is not h2
+        v = [{"probe": v1, "homology": h1}, {"probe": v2, "homology": h2}, [w, v2, [h2, v1]], w]
+        assert _dumps(v) == json.dumps(expand(v), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize(
         "v",

@@ -90,7 +90,10 @@ FINITE_GROUPS = (
 )
 
 
+# Q8's relators read inverse letters, so the lifted boundary's x_i^-1 steps
+# meet d1.d2 = 0 here as well.
 NON_ABELIAN = {
+    "Q8": (P(2, "g1 g2 g1 g2^-1", "g2 g1 g2 g1^-1"), 8),
     "S3": (P(2, "g1^2", "g2^3", "g1 g2 g1 g2"), 6),
     "A4": (P(2, "g1^2", "g2^3", "g1 g2 g1 g2 g1 g2"), 12),
     "S4": (P(2, "g1^2", "g2^3", "g1 g2 g1 g2 g1 g2 g1 g2"), 24),

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -40,6 +42,21 @@ def test_report_digest_is_repeatable():
         assert result.returncode == 0, result.stdout + result.stderr
         assert re.fullmatch(r"[0-9a-f]{64}\n", result.stdout), result.stdout
     assert first.stdout == second.stdout
+
+
+# Digests of this tree's reports at seed 1.  A change that alters a report on
+# purpose updates its pin and says so.
+REPORT_DIGESTS_AT_SEED_1 = {
+    "probe-finite": "0679ef55efc5d607efd2be78b503655ef79b7302454d8a6561109d5f7b424145",
+    "sublinks-walk": "641a000765bde75f7741b92ee7ddb9a0c81f22751f920fb02fc917d210758937",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REPORT_DIGESTS_AT_SEED_1))
+def test_report_digest_is_pinned(workload):
+    result = run_script("report_digest.py", "--src", "src", "--workload", workload, "--seed", "1")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == REPORT_DIGESTS_AT_SEED_1[workload] + "\n"
 
 
 def test_trace_share_reads_span_accounting(tmp_path):
