@@ -79,16 +79,15 @@ def _report(command: str, paths: list[Path], config: dict, findings: object, war
 
 
 def _dumps(v, pad: str = "\n", memo: dict | None = None) -> str:
-    """`json.dumps(v, indent=2, sort_keys=True)`, byte for byte.
+    """`json.dumps(v, indent=2, sort_keys=True)` of a report value, byte for byte.
 
-    With `indent`, `json.dumps` runs the pure-Python encoder; this one writes
-    None, bools, exact ints, str, lists, tuples and str-keyed dicts itself,
-    escaping strings through the same `encode_basestring_ascii`, and hands
-    anything else to `json.dumps`, re-indented.  That is exact because an
-    ASCII-escaped JSON text has no newline inside a string.  `pad` is a
-    newline plus the indent of the value's own line.  A hashable report
-    object with `to_json` is written as its `to_json()`, rendered once per
+    A report value is None, a bool, an exact int, a str, a list or tuple of
+    report values, a dict from str to report values, or a hashable report
+    object with `to_json`, written as its `to_json()` and rendered once per
     (value, pad) into `memo`; the top-level call makes it for one document.
+    Anything else raises TypeError.  Strings are escaped through the
+    `encode_basestring_ascii` that `json.dumps` uses.  `pad` is a newline
+    plus the indent of the value's own line.
     """
     t = type(v)
     if t is str:
@@ -109,7 +108,7 @@ def _dumps(v, pad: str = "\n", memo: dict | None = None) -> str:
         items = [encode_basestring_ascii(x) if type(x) is str else int.__repr__(x) if type(x) is int
                  else _dumps(x, inner, memo) for x in v]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if t is dict and all(type(k) is str for k in v):
+    if t is dict:
         if not v:
             return "{}"
         items = [encode_basestring_ascii(k) + ": " + (encode_basestring_ascii(x) if type(x) is str else
@@ -117,14 +116,7 @@ def _dumps(v, pad: str = "\n", memo: dict | None = None) -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if hasattr(v, "to_json"):  # a report object: one lookup per repeat
         return memo.get((v, pad)) or memo.setdefault((v, pad), _dumps(v.to_json(), pad, memo))
-    return json.dumps(v, indent=2, sort_keys=True).replace("\n", pad)
-
-
-def _emit(report: dict) -> None:
-    """Print `report` as `json.dumps(report, indent=2, sort_keys=True)` would
-    with each report object as its `to_json()`, byte for byte; the memo of
-    `_dumps` lives for this one document, so each is rendered once per indent."""
-    print(_dumps(report))
+    raise TypeError(f"not a report value: {t.__name__}")
 
 
 def _load_presentation(path: Path, window: int | None) -> ParsedPresentation:
@@ -197,8 +189,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     warnings = [TRIVIALITY_WARNING]
     report = _report("check", [path], _config(args), findings, warnings)
-    _emit(report)
-    return 0 if (p.balanced and unimodular and contractible) else 1
+    print(_dumps(report))
+    # Over one vertex, H1 = H2 = 0 forces n = m = r2 and a diagonal of ones,
+    # so a contractible complex is also balanced and unimodular.
+    return 0 if contractible else 1
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
@@ -230,7 +224,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         "output": str(out),
         "base_change_log": str(moves_out),
     }
-    _emit(_report("normalize", [path], config, findings, [TRIVIALITY_WARNING]))
+    print(_dumps(_report("normalize", [path], config, findings, [TRIVIALITY_WARNING])))
     return 0 if cert.exponent_check else 3
 
 
@@ -254,7 +248,7 @@ def cmd_ribbon(args: argparse.Namespace) -> int:
     p = _load_presentation(path, args.window).presentation
     config = _config(args)
     sc = _surgery_code_or_fail("ribbon", path, p, config)
-    _emit(_report("ribbon", [path], config, sc.to_json(), [TRIVIALITY_WARNING]))
+    print(_dumps(_report("ribbon", [path], config, sc, [TRIVIALITY_WARNING])))
     return 0
 
 
@@ -317,7 +311,7 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
     texts = [word_to_text(k) for k in sc.components]
     reports = [_selection_report(sc, texts, fill, args.probe_limit) for fill in selections]
     findings = {"components": m, "selections": reports}
-    _emit(_report("sublinks", [path], config, findings, [TRIVIALITY_WARNING]))
+    print(_dumps(_report("sublinks", [path], config, findings, [TRIVIALITY_WARNING])))
     return 0
 
 
@@ -325,13 +319,15 @@ def cmd_homology(args: argparse.Namespace) -> int:
     path = Path(args.file)
     config = _config(args, matrix=args.matrix)
     if args.matrix:
+        if args.window is not None:
+            raise ValueError("--window applies to presentations, not to --matrix input")
         m = SparseIntMatrix.from_json(json.loads(path.read_text()))
         diag, _, _ = smith_normal_form(m)
         findings = {"rows": m.rows, "cols": m.cols, "snf": list(diag)}
     else:
         p = _load_presentation(path, args.window).presentation
         findings = homology(from_presentation(p))
-    _emit(_report("homology", [path], config, findings, []))
+    print(_dumps(_report("homology", [path], config, findings, [])))
     return 0
 
 
@@ -370,7 +366,7 @@ def cmd_telescope(args: argparse.Namespace) -> int:
         "final_stage_homology": final_h,
         "homology_match": tele_h == final_h,
     }
-    _emit(_report("telescope", [path, stages_path], _config(args, stages=str(stages_path)), findings, []))
+    print(_dumps(_report("telescope", [path, stages_path], _config(args, stages=str(stages_path)), findings, [])))
     return 0 if tele_h == final_h else 3
 
 
@@ -378,7 +374,7 @@ def cmd_pi2probe(args: argparse.Namespace) -> int:
     path = Path(args.file)
     p = _load_presentation(path, args.window).presentation
     verdict = asphericity_verdict(p, args.limit)
-    _emit(_report("pi2probe", [path], _config(args, limit=args.limit), verdict, []))
+    print(_dumps(_report("pi2probe", [path], _config(args, limit=args.limit), verdict, [])))
     return 1 if verdict.status == "not_aspherical" else 0
 
 
@@ -412,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sublinks", help="fill sublinks and report exteriors")
     s.add_argument("file")
-    s.add_argument("--fill", default=None, help="comma-separated component indices")
-    s.add_argument("--enumerate", action="store_true", help="walk all 2^m selections")
+    g = s.add_mutually_exclusive_group()
+    g.add_argument("--fill", default=None, help="comma-separated component indices")
+    g.add_argument("--enumerate", action="store_true", help="walk all 2^m selections")
     s.add_argument("--cap", type=int, default=12, help="enumeration cap on components")
     s.add_argument("--force", action="store_true", help="override the enumeration cap")
     s.add_argument("--probe-limit", type=int, default=None, help="also probe each exterior")
@@ -443,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CheckFailed as exc:
-        _emit(exc.report)
+        print(_dumps(exc.report))
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ class NotUnimodular(Exception):
     """The window matrix is not invertible over the integers."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SparseIntMatrix:
     """Row- and column-finite integer matrix on a finite window.
 
@@ -119,15 +119,6 @@ class SparseIntMatrix:
                 raise ValueError(f"duplicate entry at ({i},{j})")
             entries[(i, j)] = v
         return cls(rows, cols, entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseIntMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
 
     def __repr__(self) -> str:
         return f"SparseIntMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"

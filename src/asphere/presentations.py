@@ -5,6 +5,7 @@ unimodular windows by lifted Nielsen base changes."""
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
@@ -40,11 +41,7 @@ class DanglingRelator(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators 1..n_generators plus an ordered relator list.
-
-    The incidence relation is always recomputed from the relator words,
-    never stored.
-    """
+    """Generators 1..n_generators plus an ordered relator list."""
 
     n_generators: int
     relators: tuple[Word, ...] = ()
@@ -59,15 +56,6 @@ class Presentation:
                     f"relator {j} uses generator {r.max_index()} beyond window "
                     f"of {self.n_generators}"
                 )
-
-    @property
-    def incidence(self) -> dict[int, frozenset[int]]:
-        """Generator index -> indices of relators containing it."""
-        hits: dict[int, set[int]] = {i: set() for i in range(1, self.n_generators + 1)}
-        for j, r in enumerate(self.relators, start=1):
-            for i in r.indices():
-                hits[i].add(j)
-        return {i: frozenset(s) for i, s in hits.items()}
 
     @property
     def balanced(self) -> bool:
@@ -91,8 +79,8 @@ def exponent_vector(w: Word, n: int) -> tuple[int, ...]:
 def is_locally_finite(p: Presentation) -> tuple[bool, int]:
     """Any finite window is locally finite; the witness is the largest
     number of relators any one generator appears in."""
-    counts = [len(rels) for rels in p.incidence.values()]
-    return True, max(counts, default=0)
+    counts = Counter(i for r in p.relators for i in r.indices())
+    return True, max(counts.values(), default=0)
 
 
 def is_homology_trivial_unit(p: Presentation) -> bool:
@@ -153,15 +141,13 @@ def lift_row_op(op: ElementaryOp) -> tuple[NielsenMove, ...]:
         return (Swap(op.i, op.j),)
     if isinstance(op, NegateRow):
         return (Invert(op.i),)
-    if op.coeff > 0:
+    if op.coeff >= 0:
         return (RightMultiply(op.source, op.target),) * op.coeff
-    if op.coeff < 0:
-        return (
-            (Invert(op.target),)
-            + (RightMultiply(op.source, op.target),) * (-op.coeff)
-            + (Invert(op.target),)
-        )
-    return ()
+    return (
+        (Invert(op.target),)
+        + (RightMultiply(op.source, op.target),) * (-op.coeff)
+        + (Invert(op.target),)
+    )
 
 
 def lift_row_ops(log: RowOpLog) -> BaseChange:

@@ -41,7 +41,6 @@ class CosetTable:
     """
 
     n_generators: int
-    limit: int
     status: str
     n_cosets: int
     action: tuple[tuple[int, ...], ...] = ()
@@ -164,14 +163,14 @@ def coset_enumerate(p: Presentation, limit: int) -> CosetTable:
             alpha += 1
     except _Overflow:
         live = sum(1 for k in range(len(table)) if rep(k) == k)
-        return CosetTable(n, limit, "overflow", live)
+        return CosetTable(n, "overflow", live)
 
     live = [k for k in range(len(table)) if rep(k) == k]
     renumber = {k: idx for idx, k in enumerate(live, start=1)}
     action = tuple(
         tuple(renumber[rep(table[k][x])] for x in range(ncols)) for k in live
     )
-    return CosetTable(n, limit, "complete", len(live), action)
+    return CosetTable(n, "complete", len(live), action)
 
 
 # ---------------------------------------------------------------------------

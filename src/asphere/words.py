@@ -214,8 +214,6 @@ def apply_move(move: NielsenMove, w: Word) -> Word:
         sub = {i: (i, j), -i: (-j, -i)}
     else:  # pragma: no cover - exhaustive by construction
         raise TypeError(f"not a Nielsen move: {move!r}")
-    if sub.keys().isdisjoint(w.letters):
-        return w
     image = {x: (x,) for x in set(w.letters)} | sub
     return Word(tuple(chain.from_iterable(map(image.__getitem__, w.letters))))
 

@@ -93,6 +93,19 @@ class TestCheck:
         assert parsed.presentation.relators == (parse_word("g2"),)
         assert parsed.rel_names == ("b",)
 
+    @pytest.mark.parametrize(
+        "text",
+        [UNIT, SCRAMBLED, DISK, UNIT3, "gens: 1\nrel r: g1^2\n", "gens: 2\nrel r: g1\n",
+         "gens: 1\nrel r1: g1\nrel r2: g1\n"],
+        ids=["unit", "scrambled", "disk", "unit3", "torsion", "too-few-relators", "too-many-relators"],
+    )
+    def test_exit_0_exactly_when_homologically_contractible(self, run, tmp_path, text):
+        code, out, _ = run("check", write(tmp_path, "p.txt", text))
+        findings = json.loads(out)["findings"]
+        assert code == (0 if findings["homologically_contractible"] else 1)
+        if code == 0:
+            assert findings["balanced"] and findings["unimodular"]
+
     def test_input_digest_recorded(self, run, tmp_path):
         f = write(tmp_path, "p.txt", DISK)
         _, out, _ = run("check", f)
@@ -228,6 +241,12 @@ class TestSublinks:
             (3, 0, "aspherical"),
         ]
 
+    def test_fill_with_enumerate_is_a_usage_error(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", UNIT)
+        with pytest.raises(SystemExit) as exc:
+            run("sublinks", f, "--fill", "1", "--enumerate")
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("fill", ["9", "0", "1,3"])
     def test_missing_component_exit_2(self, run, tmp_path, fill):
         f = write(tmp_path, "p.txt", UNIT)
@@ -307,6 +326,13 @@ class TestHomology:
         findings = json.loads(out)["findings"]
         assert code == 0
         assert findings["snf"] == [1, 6]
+
+    def test_window_with_matrix_exit_2(self, run, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[1, 1, 2]]}))
+        code, out, err = run("--window", "1", "homology", str(f), "--matrix")
+        assert (code, out) == (2, "")
+        assert "--window" in err
 
     def test_bad_matrix_json_exit_2(self, run, tmp_path):
         f = tmp_path / "m.json"
@@ -589,7 +615,17 @@ class TestWriter:
 
     @pytest.mark.parametrize(
         "v",
-        [[1.5, float("nan")], {1: [True, None], 2: {}}, [{"a": [{0.5: "x"}]}], {"k": [(), {}]}],
+        [[1.5, float("nan")], {1: [True, None], 2: {}}, [{"a": [{0.5: "x"}]}], {"k": [1.5]},
+         {"k": [type("Name", (str,), {})("x")]}, [object()]],
+        ids=["floats", "int-keys", "float-key", "float-value", "str-subclass", "no-to-json"],
     )
-    def test_values_without_fast_path_fall_back_exactly(self, v):
-        assert _dumps(v) == json.dumps(v, indent=2, sort_keys=True)
+    def test_non_report_values_are_rejected(self, v):
+        with pytest.raises(TypeError):
+            _dumps(v)
+
+    def test_non_report_value_in_a_report_exits_3(self, run, tmp_path, monkeypatch):
+        f = write(tmp_path, "p.txt", UNIT)
+        monkeypatch.setattr("asphere.cli.is_locally_finite", lambda p: (True, 0.5))
+        code, out, err = run("check", f)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: TypeError")

@@ -57,14 +57,6 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Presentation(-1)
 
-    def test_incidence_recomputed(self):
-        p = P(3, "g1 g2", "g2^2")
-        assert p.incidence == {
-            1: frozenset({1}),
-            2: frozenset({1, 2}),
-            3: frozenset(),
-        }
-
     def test_balanced(self):
         assert SCRAMBLED.balanced
         assert not P(2, "g1").balanced
@@ -93,6 +85,12 @@ class TestLocalFiniteness:
 
     def test_empty_window(self):
         assert is_locally_finite(Presentation(0)) == (True, 0)
+
+    def test_witness_counts_relators_not_letters(self):
+        assert is_locally_finite(P(3, "g1 g2", "g2^2")) == (True, 2)
+
+    def test_generator_in_no_relator(self):
+        assert is_locally_finite(Presentation(1)) == (True, 0)
 
 
 class TestTrivialUnitPredicate:
