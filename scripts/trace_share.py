@@ -8,8 +8,10 @@ by more than `UNATTRIBUTED_TOTAL_SHARE`.  This prints that excess with the
 same `perfbench.trace` functions: the traced jobs, the unattributed
 seconds, their share of the jobs' wall time against the bound, the mean
 unattributed microseconds per job, and the number of unaccounted jobs.
+Given several spans files, it prints that block for each, under the
+file's name, and then the largest share.
 
-Usage: python scripts/trace_share.py .bench_work/spans-probe-finite-s1.jsonl
+Usage: python scripts/trace_share.py .bench_work/spans-probe-finite-s1.jsonl [MORE_SPANS_FILES ...]
 """
 
 import argparse
@@ -22,21 +24,37 @@ sys.path.insert(0, str(ROOT))
 from perfbench.trace import UNATTRIBUTED_TOTAL_SHARE, analyze, unaccounted_jobs  # noqa: E402
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("spans_file", type=Path)
-    args = parser.parse_args()
-
-    analysis = analyze(args.spans_file)
+def share_block(spans_file: Path) -> tuple[float, list[str]]:
+    analysis = analyze(spans_file)
     jobs = analysis["jobs"].values()
     wall = sum(w for w, _, _ in jobs)
     unattributed = sum(w - layered for w, layered, _ in jobs)
     share = unattributed / wall if wall else 0.0
-    print(f"traced jobs: {len(jobs)}")
-    print(f"unattributed: {unattributed:.6f} s of {wall:.6f} s")
-    print(f"share: {share:.4%} (bound {UNATTRIBUTED_TOTAL_SHARE:.0%})")
-    print(f"mean per job: {unattributed / len(jobs) * 1e6 if jobs else 0.0:.1f} us")
-    print(f"unaccounted jobs: {unaccounted_jobs(analysis)}")
+    return share, [
+        f"traced jobs: {len(jobs)}",
+        f"unattributed: {unattributed:.6f} s of {wall:.6f} s",
+        f"share: {share:.4%} (bound {UNATTRIBUTED_TOTAL_SHARE:.0%})",
+        f"mean per job: {unattributed / len(jobs) * 1e6 if jobs else 0.0:.1f} us",
+        f"unaccounted jobs: {unaccounted_jobs(analysis)}",
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("spans_files", type=Path, nargs="+", metavar="spans_file")
+    args = parser.parse_args()
+
+    several = len(args.spans_files) > 1
+    shares = []
+    for path in args.spans_files:
+        share, lines = share_block(path)
+        shares.append((share, str(path)))
+        if several:
+            print(f"{path}:")
+        print("\n".join(lines))
+    if several:
+        share, path = max(shares)
+        print(f"largest share: {share:.4%} ({path})")
     return 0
 
 

@@ -274,12 +274,15 @@ def _selection_report(sc, texts: list[str], fill: frozenset[int], probe_limit: i
 
 def cmd_sublinks(args: argparse.Namespace) -> int:
     path = Path(args.file)
+    if not args.enumerate and (args.cap is not None or args.force):
+        raise ValueError("--cap and --force apply only with --enumerate")
+    cap = 12 if args.cap is None else args.cap
     p = _load_presentation(path, args.window).presentation
     config = _config(
         args,
         fill=args.fill,
         enumerate=args.enumerate,
-        cap=args.cap,
+        cap=cap,
         force=args.force,
         probe_limit=args.probe_limit,
     )
@@ -287,7 +290,7 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
     m = len(sc.components)
     selections: list[frozenset[int]] = []
     if args.enumerate:
-        if m > args.cap and not args.force:
+        if m > cap and not args.force:
             raise CheckFailed(
                 _report(
                     "sublinks",
@@ -296,7 +299,7 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
                     {
                         "error": "enumeration cap exceeded",
                         "components": m,
-                        "cap": args.cap,
+                        "cap": cap,
                         "hint": "re-run with --force to walk all subsets",
                     },
                     [],
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = s.add_mutually_exclusive_group()
     g.add_argument("--fill", default=None, help="comma-separated component indices")
     g.add_argument("--enumerate", action="store_true", help="walk all 2^m selections")
-    s.add_argument("--cap", type=int, default=12, help="enumeration cap on components")
+    s.add_argument("--cap", type=int, default=None, help="enumeration cap on components (default 12)")
     s.add_argument("--force", action="store_true", help="override the enumeration cap")
     s.add_argument("--probe-limit", type=int, default=None, help="also probe each exterior")
     s.set_defaults(func=cmd_sublinks)

@@ -475,8 +475,9 @@ def rank(m: SparseIntMatrix) -> int:
     return _echelon(_sparse_rows(m), None, m.cols)
 
 
-def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
-    """A Z-basis of the integer kernel of the window matrix, cols - rank long.
+def _kernel_rows(m: SparseIntMatrix) -> tuple[int, Rows]:
+    """The rank r of the window matrix and a Z-basis of its integer kernel,
+    cols - r sparse rows whose entry r + j is coordinate j of the vector.
 
     A row echelon pass leaves the kernel alone and gives an echelon form E
     of rank r.  A second pass over the first r columns of the rows of
@@ -493,4 +494,10 @@ def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
     for j, row in enumerate(augmented):
         row[r + j] = 1
     _echelon(augmented, None, r)
-    return [tuple(row.get(r + j, 0) for j in range(cols)) for row in augmented[r:]]
+    return r, augmented[r:]
+
+
+def kernel_basis(m: SparseIntMatrix) -> list[tuple[int, ...]]:
+    """A Z-basis of the integer kernel: the rows of `_kernel_rows`, densified."""
+    r, rows = _kernel_rows(m)
+    return [tuple(row.get(r + j, 0) for j in range(m.cols)) for row in rows]

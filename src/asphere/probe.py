@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .intmat import SparseIntMatrix, kernel_basis, mat_vec, rank
+from .intmat import SparseIntMatrix, _kernel_rows, mat_vec, rank
 from .presentations import Presentation, exponent_matrix
 from .words import Word
 
@@ -275,23 +275,23 @@ def asphericity_verdict(p: Presentation, limit: int) -> Verdict:
             "inconclusive", None, None, None, f"coset enumeration exceeded limit {limit}"
         )
     boundary = lifted_boundary(p, t)
-    basis = kernel_basis(boundary)
+    r, kernel = _kernel_rows(boundary)
     euler = t.n_cosets * (1 - p.n_generators + len(p.relators)) - 1
-    if len(basis) != euler:
+    if len(kernel) != euler:
         raise AssertionError(
-            f"kernel rank {len(basis)} breaks the Euler identity |G|.chi - 1 = {euler}"
+            f"kernel rank {len(kernel)} breaks the Euler identity |G|.chi - 1 = {euler}"
         )
-    if not basis:
+    if not kernel:
         return Verdict(
             "aspherical", 1, 0, None, "trivial group and injective lifted boundary"
         )
-    witness = basis[0]
+    witness = tuple(kernel[0].get(r + j, 0) for j in range(boundary.cols))
     if any(mat_vec(boundary, witness)):
         raise AssertionError("kernel witness failed re-multiplication")
     return Verdict(
         "not_aspherical",
         t.n_cosets,
-        len(basis),
+        len(kernel),
         witness,
         "lifted boundary has nonzero rational kernel",
     )

@@ -29,6 +29,7 @@ def test_traced_commands_run_and_count(tmp_path):
     trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace)
     cli = importlib.import_module("asphere.cli")
+    intmat = importlib.import_module("asphere.intmat")
 
     src = tmp_path / "p.txt"
     src.write_text("gens: 2\nrel r1: g1 g2\nrel r2: g2 g1 g2^-1 g1^-1 g2\n")
@@ -55,6 +56,9 @@ def test_traced_commands_run_and_count(tmp_path):
             for argv, _ in commands:
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes.append(cli.main(argv))
+            # No command densifies a kernel basis; call the public function
+            # so that its hook reads a real return value.
+            intmat.kernel_basis(intmat.SparseIntMatrix.from_rows([[1, 1], [1, 1]]))
         finally:
             tracer.end_job()
     finally:

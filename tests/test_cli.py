@@ -247,6 +247,18 @@ class TestSublinks:
             run("sublinks", f, "--fill", "1", "--enumerate")
         assert exc.value.code == 2
 
+    def test_cap_without_enumerate_is_a_usage_error(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", UNIT)
+        code, out, err = run("sublinks", f, "--fill", "2", "--cap", "1")
+        assert (code, out) == (2, "")
+        assert "--cap and --force apply only with --enumerate" in err
+
+    def test_force_without_enumerate_is_a_usage_error(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", UNIT)
+        code, out, err = run("sublinks", f, "--force")
+        assert (code, out) == (2, "")
+        assert "--cap and --force apply only with --enumerate" in err
+
     @pytest.mark.parametrize("fill", ["9", "0", "1,3"])
     def test_missing_component_exit_2(self, run, tmp_path, fill):
         f = write(tmp_path, "p.txt", UNIT)

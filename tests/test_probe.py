@@ -3,6 +3,7 @@ falsification probe."""
 
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,7 @@ from asphere import (
     fox_derivative,
     lifted_boundary,
 )
-from asphere.intmat import mat_vec, rank
+from asphere.intmat import kernel_basis, mat_vec, rank
 from asphere.words import parse_word
 
 from support import fox_lifted_boundary, random_word
@@ -354,6 +355,31 @@ class TestVerdicts:
         # cosets 4 and 4.g1 = 5, which share a boundary.
         v = asphericity_verdict(NON_ABELIAN["S3"][0], 256)
         assert (v.kernel_rank, v.witness) == (11, (0, 0, 0, -1, 1) + (0,) * 13)
+
+    def test_verdict_matches_kernel_basis_on_finite_groups(self):
+        # The verdict reads its rank and witness off sparse kernel rows; the
+        # densified basis is the oracle for both.
+        rng = random.Random(2020)
+        for name, p, order in FINITE_GROUPS:
+            p = disguise(rng, p)
+            v = asphericity_verdict(p, 4096)
+            basis = kernel_basis(lifted_boundary(p, coset_enumerate(p, 4096)))
+            assert v.cosets == order, name
+            assert v.kernel_rank == len(basis), name
+            assert v.witness == basis[0], name
+
+    def test_verdict_memory_on_psl2_7(self):
+        # Densifying the whole kernel basis (503 vectors of 672 entries)
+        # peaks above 4 MiB; one witness stays well under 3 MiB.
+        (p,) = [p for name, p, _ in FINITE_GROUPS if name == "PSL2_7"]
+        tracemalloc.start()
+        try:
+            v = asphericity_verdict(p, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.kernel_rank == 503
+        assert peak < 3 * 2**20, peak
 
     def test_duplicate_relator_is_detected(self):
         # two identical 2-cells bound a sphere

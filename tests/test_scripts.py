@@ -85,3 +85,13 @@ def test_trace_share_reads_span_accounting(tmp_path):
         "mean per job: 15500.0 us",
         "unaccounted jobs: 2",
     ]
+    # Several files: each block under its file's name, then the largest share.
+    low, high = spans_file(0.998), spans_file(0.97)
+    result = run_script("trace_share.py", low, high)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 13
+    assert lines[0] == f"{low}:" and lines[6] == f"{high}:"
+    assert lines[3] == "share: 0.1500% (bound 1%)"
+    assert lines[9] == "share: 1.5500% (bound 1%)"
+    assert lines[12] == f"largest share: 1.5500% ({high})"
