@@ -8,8 +8,9 @@ command's argv, exit code, stdout and stderr, and then over every file in the
 work directory (inputs and the files the commands wrote).  The work-directory
 path is masked, so two source trees give the same digest exactly when their
 reports and written files are byte-identical on that workload and seed.
+Given several seeds, it prints one `seed S: <digest>` line for each.
 
-Usage: python scripts/report_digest.py --src src --workload pipeline --seed 1
+Usage: python scripts/report_digest.py --src src --workload pipeline --seed 1 [SEED ...]
 """
 
 import argparse
@@ -69,9 +70,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, required=True, help="directory holding the asphere package")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1], help="one or more seeds (default 1)")
     args = parser.parse_args()
-    print(digest(import_cli(args.src), args.workload, args.seed))
+    cli = import_cli(args.src)
+    for seed in args.seed:
+        h = digest(cli, args.workload, seed)
+        print(h if len(args.seed) == 1 else f"seed {seed}: {h}")
 
 
 if __name__ == "__main__":

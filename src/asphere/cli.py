@@ -28,6 +28,7 @@ from .intmat import NotUnimodular, SparseIntMatrix, smith_normal_form
 from .links import (
     NotHomologyTrivialUnit,
     SublinkSelection,
+    _check_fill,
     build_surgery_code,
     exterior,
     exterior_homology,
@@ -252,23 +253,21 @@ def cmd_ribbon(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selection_report(sc, texts: list[str], fill: frozenset[int], probe_limit: int | None) -> dict:
-    """One selection's entry; `texts` holds each component's text, rendered
-    once per code.  `exterior_homology` rejects a bad fill before indexing."""
-    sel = SublinkSelection(fill)
-    h = exterior_homology(sc, sel)
-    filled = sorted(fill)
+def _selection_report(sc, texts: list[str], homology: list, fill: tuple[int, ...], probe_limit: int | None) -> dict:
+    """One selection's entry for a sorted, checked fill; `texts` holds each
+    component's text and `homology[k]` the exterior homology of every fill
+    of size k, both built once per code."""
     entry = {
-        "fill": filled,
+        "fill": fill,
         "exterior": {
             "generators": sc.n_handles,
-            "relators": [texts[j - 1] for j in filled],
+            "relators": [texts[j - 1] for j in fill],
         },
-        "homology": h,
+        "homology": homology[len(fill)],
         "exterior_asphericity": ASPHERICITY_NOTE,
     }
     if probe_limit is not None:
-        entry["probe"] = asphericity_verdict(exterior(sc, sel), probe_limit)
+        entry["probe"] = asphericity_verdict(exterior(sc, SublinkSelection(fill)), probe_limit)
     return entry
 
 
@@ -277,6 +276,8 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
     if not args.enumerate and (args.cap is not None or args.force):
         raise ValueError("--cap and --force apply only with --enumerate")
     cap = 12 if args.cap is None else args.cap
+    if cap < 0:
+        raise ValueError("--cap must be nonnegative")
     p = _load_presentation(path, args.window).presentation
     config = _config(
         args,
@@ -288,7 +289,6 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
     )
     sc = _surgery_code_or_fail("sublinks", path, p, config)
     m = len(sc.components)
-    selections: list[frozenset[int]] = []
     if args.enumerate:
         if m > cap and not args.force:
             raise CheckFailed(
@@ -305,14 +305,15 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
                     [],
                 )
             )
-        selections = [
-            frozenset(j + 1 for j in range(m) if mask >> j & 1) for mask in range(1 << m)
-        ]
+        fills = [tuple(j + 1 for j in range(m) if mask >> j & 1) for mask in range(1 << m)]
     else:
         fill = frozenset(int(tok) for tok in args.fill.split(",") if tok) if args.fill else frozenset()
-        selections = [fill]
+        _check_fill(fill, m)
+        fills = [tuple(sorted(fill))]
     texts = [word_to_text(k) for k in sc.components]
-    reports = [_selection_report(sc, texts, fill, args.probe_limit) for fill in selections]
+    # H1 = Z^(n - |F|): one report per fill size serves every fill of that size.
+    homology = [exterior_homology(sc, SublinkSelection(frozenset(range(1, k + 1)))) for k in range(m + 1)]
+    reports = [_selection_report(sc, texts, homology, fill, args.probe_limit) for fill in fills]
     findings = {"components": m, "selections": reports}
     print(_dumps(_report("sublinks", [path], config, findings, [TRIVIALITY_WARNING])))
     return 0

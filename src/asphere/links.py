@@ -96,11 +96,13 @@ def exterior(sc: SurgeryCode, sel: SublinkSelection) -> Presentation:
     """Fill the selected components: their meridian words become relators.
 
     The empty selection gives the free group of rank n; the full selection
-    returns the original presentation.
+    returns the original presentation.  One range test on the sorted fill
+    guards it; `_check_fill` runs only to name a bad index.
     """
-    _check_fill(sel.fill, len(sc.components))
-    relators = tuple(sc.components[j - 1] for j in sorted(sel.fill))
-    return Presentation(sc.n_handles, relators)
+    fill = sorted(sel.fill)
+    if fill and (fill[0] < 1 or fill[-1] > len(sc.components)):
+        _check_fill(sel.fill, len(sc.components))
+    return Presentation(sc.n_handles, tuple(sc.components[j - 1] for j in fill))
 
 
 def exterior_homology(sc: SurgeryCode, sel: SublinkSelection) -> HomologyReport:

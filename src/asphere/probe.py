@@ -249,6 +249,11 @@ class Verdict:
         }
 
 
+# The two answers fixed by the presentation's shape, shared by every call.
+_NO_TWO_CELLS = Verdict("aspherical", None, None, None, "no 2-cells: the complex is a graph")
+_INFINITE = Verdict("inconclusive", None, None, None, "infinite: H1 has positive free rank")
+
+
 def asphericity_verdict(p: Presentation, limit: int) -> Verdict:
     """Sound falsification probe.
 
@@ -263,12 +268,12 @@ def asphericity_verdict(p: Presentation, limit: int) -> Verdict:
     Overflow stays inconclusive.
     """
     if not p.relators:
-        return Verdict("aspherical", None, None, None, "no 2-cells: the complex is a graph")
+        return _NO_TWO_CELLS
     if limit < 1:
         raise ValueError("limit must be positive")
     n = p.n_generators
     if len(p.relators) < n or rank(exponent_matrix(p)) < n:
-        return Verdict("inconclusive", None, None, None, "infinite: H1 has positive free rank")
+        return _INFINITE
     t = coset_enumerate(p, limit)
     if not t.is_complete:
         return Verdict(

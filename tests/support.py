@@ -25,6 +25,7 @@ from asphere import (
     smith_normal_form,
 )
 from asphere.complexes import Filtration, SubcomplexSpec
+from asphere.links import SurgeryCode
 
 
 def random_word(rng: random.Random, n_gens: int, max_len: int) -> Word:
@@ -151,6 +152,34 @@ def random_trivialish_presentation(
         relators.append(r)
     bc = random_base_change(rng, n, max_moves)
     return Presentation(n, tuple(apply_base_change(bc, r) for r in relators))
+
+
+def random_surgery_code(rng: random.Random, shape: str, m: int) -> SurgeryCode:
+    """An m-component code in one of the two shapes the sublinks benchmark
+    walks.  "ring": component j is g_j [g_j, g_(j+1)] around a cycle.
+    "triangular": g_1, g_2, then g_j [g_a^±1, g_b^±1] with a != b < j.
+    One random permutation relabels handles and components alike, which
+    keeps every exponent sum the Kronecker delta."""
+
+    def g(i: int, e: int = 1) -> Word:
+        return Word.from_pairs([(i, e)])
+
+    if shape == "ring":
+        comps = [g(j) * commutator(g(j), g(j % m + 1)) for j in range(1, m + 1)]
+    elif shape == "triangular":
+        comps = [g(j) for j in range(1, min(m, 2) + 1)]
+        for j in range(3, m + 1):
+            a, b = rng.sample(range(1, j), 2)
+            comps.append(g(j) * commutator(g(a, rng.choice((1, -1))), g(b, rng.choice((1, -1)))))
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    perm = list(range(1, m + 1))
+    rng.shuffle(perm)
+    index_of = dict(zip(range(1, m + 1), perm))
+    relabelled: list[Word] = [Word(())] * m
+    for j, w in enumerate(comps, start=1):
+        relabelled[index_of[j] - 1] = w.rename(index_of)
+    return SurgeryCode(m, tuple(relabelled))
 
 
 def random_presentation(rng: random.Random, n_gens: int, n_rels: int, max_len: int = 8) -> Presentation:

@@ -1,6 +1,7 @@
 """Command-line reports: exit codes, JSON shape, and determinism."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,12 @@ from hypothesis import given, strategies as st
 from asphere import Presentation, probe
 from asphere.cli import _dumps, _load_presentation, main
 from asphere.complexes import HomologyReport
-from asphere.probe import Verdict
-from asphere.words import parse_word
+from asphere.links import SublinkSelection, exterior, exterior_homology
+from asphere.presentations import presentation_to_text
+from asphere.probe import Verdict, asphericity_verdict
+from asphere.words import parse_word, word_to_text
+
+from support import random_surgery_code
 
 DATA = Path(__file__).parent / "data"
 
@@ -240,6 +245,46 @@ class TestSublinks:
             (2, 1, "inconclusive"),
             (3, 0, "aspherical"),
         ]
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("shape", ["ring", "triangular"])
+    def test_every_selection_matches_the_per_selection_route(self, run, tmp_path, shape, m):
+        # Fills, homology and the probe's fixed answers are built once per
+        # code; each selection must still read as if built on its own.
+        sc = random_surgery_code(random.Random(f"{shape}:{m}"), shape, m)
+        f = write(tmp_path, "p.txt", presentation_to_text(Presentation(m, sc.components)))
+        code, out, _ = run("sublinks", f, "--enumerate", "--probe-limit", "64")
+        assert code == 0
+        selections = json.loads(out)["findings"]["selections"]
+        assert len(selections) == 1 << m
+        for mask, entry in enumerate(selections):
+            sel = SublinkSelection(frozenset(j + 1 for j in range(m) if mask >> j & 1))
+            assert entry["fill"] == sorted(sel.fill)
+            assert entry["exterior"]["relators"] == [word_to_text(sc.components[j - 1]) for j in entry["fill"]]
+            assert entry["homology"] == exterior_homology(sc, sel).to_json()
+            assert entry["probe"] == asphericity_verdict(exterior(sc, sel), 64).to_json()
+
+    def test_probe_limit_is_checked_before_the_shared_answers(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", UNIT)
+        for argv in (["--enumerate"], ["--fill", "1"]):  # a proper fill has H1 of positive rank
+            code, out, err = run("sublinks", f, *argv, "--probe-limit", "0")
+            assert (code, out) == (2, "")
+            assert "limit must be positive" in err
+        # the empty fill is relator-free: a graph whatever the limit
+        code, out, _ = run("sublinks", f, "--probe-limit", "0")
+        assert code == 0
+        (sel,) = json.loads(out)["findings"]["selections"]
+        assert sel["probe"]["verdict"] == "aspherical"
+
+    @pytest.mark.parametrize("text", [UNIT, "gens: 0\n"])
+    def test_negative_cap_is_a_usage_error(self, run, tmp_path, text):
+        f = write(tmp_path, "p.txt", text)
+        code, out, err = run("sublinks", f, "--enumerate", "--cap", "-1")
+        assert (code, out) == (2, "")
+        assert "--cap must be nonnegative" in err
+        code, out, _ = run("sublinks", f, "--enumerate", "--cap", "0", "--force")
+        assert code == 0
+        assert json.loads(out)["config"]["cap"] == 0
 
     def test_fill_with_enumerate_is_a_usage_error(self, run, tmp_path):
         f = write(tmp_path, "p.txt", UNIT)

@@ -34,7 +34,7 @@ from asphere.complexes import (
 )
 from asphere.words import parse_word
 
-from support import random_trivialish_presentation
+from support import random_surgery_code, random_trivialish_presentation
 
 
 def P(n, *relator_texts):
@@ -153,6 +153,19 @@ class TestExterior:
         sc = build_surgery_code(UNIT)
         with pytest.raises(BadSelection):
             exterior(sc, SublinkSelection(frozenset({3})))
+
+    @given(st.integers(0, 6).flatmap(lambda m: st.tuples(st.just(m), st.frozensets(st.integers(-2, m + 2)))))
+    def test_rejects_exactly_the_fills_with_an_index_outside(self, case):
+        """A fill is rejected exactly when some index, not only the largest
+        or the smallest, lies outside 1..m; a good fill takes its
+        components in increasing order."""
+        m, fill = case
+        sc = random_surgery_code(random.Random(m), "ring", m)
+        if any(not 1 <= j <= m for j in fill):
+            with pytest.raises(BadSelection, match=f"outside 1..{m}$"):
+                exterior(sc, SublinkSelection(fill))
+        else:
+            assert exterior(sc, SublinkSelection(fill)).relators == tuple(sc.components[j - 1] for j in sorted(fill))
 
     def test_homology_formula_matches_smith_form(self):
         """The homology read off the code equals the Smith-form homology of

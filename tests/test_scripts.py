@@ -51,6 +51,24 @@ def test_report_digest_is_pinned(workload):
     assert result.stdout == REPORT_DIGESTS_AT_SEED_1[workload] + "\n"
 
 
+REPORT_DIGESTS_AT_SEED_2 = {
+    "pipeline": "276ed53980223a784cf1bffdd615acfc3eef1c334e131d00fa2eb79ca644c24f",
+    "probe-finite": "3cecf1de6e83ae14a3d407774149b8e9d67cabbe488a104460203a2c08a3dadf",
+    "sublinks-walk": "de1f3c1c7415d4ee945466146586399fdc6d9899b12e77ec77845881d7f2ee20",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REPORT_DIGESTS_AT_SEED_2))
+def test_report_digest_takes_several_seeds(workload):
+    # One line per seed, each the digest that seed gives on its own.
+    result = run_script("report_digest.py", "--src", "src", "--workload", workload, "--seed", "1", "2")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == [
+        f"seed 1: {REPORT_DIGESTS_AT_SEED_1[workload]}",
+        f"seed 2: {REPORT_DIGESTS_AT_SEED_2[workload]}",
+    ]
+
+
 def test_trace_share_reads_span_accounting(tmp_path):
     # Two traced jobs of 1 s wall time each; the second one's command spans
     # a layer call.  Job 2's command ends `end2` s into the job.
