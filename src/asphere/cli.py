@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: check, normalize, ribbon, sublinks, homology, telescope,
-pi2probe.  Every command emits a single JSON report on stdout; identical
-inputs and flags produce byte-identical findings.  Exit codes: 0 ok,
-1 check failed, 2 parse/usage error, 3 internal invariant violation.
+pi2probe.  Every command emits a single JSON report on stdout, one compact
+line with sorted keys, as `json.dumps(report, sort_keys=True,
+separators=(",", ":"))` writes it; `normalize` writes its base-change log
+the same way.  Identical inputs and flags produce byte-identical findings.
+Exit codes: 0 ok, 1 check failed, 2 parse/usage error, 3 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import functools
 import hashlib
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -63,65 +65,39 @@ TRIVIALITY_WARNING = (
 ASPHERICITY_NOTE = "aspherical by construction (ribbon disk-link exterior)"
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read(path: Path, inputs: dict[str, str]) -> str:
+    """An input file's text, read once; `inputs` records the sha256 of the
+    bytes parsed, even if the command then overwrites the file."""
+    data = path.read_bytes()
+    inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    return data.decode()
 
 
-def _report(command: str, paths: list[Path], config: dict, findings: object, warnings: list[str]) -> dict:
+def _report(command: str, inputs: dict[str, str], config: dict, findings: object, warnings: list[str]) -> dict:
     return {
         "tool": "asphere",
         "version": __version__,
         "command": command,
-        "inputs": {str(p): _digest(p) for p in paths},
+        "inputs": inputs,
         "config": config,
         "findings": findings,
         "warnings": warnings,
     }
 
 
-def _dumps(v, pad: str = "\n", memo: dict | None = None) -> str:
-    """`json.dumps(v, indent=2, sort_keys=True)` of a report value, byte for byte.
-
-    A report value is None, a bool, an exact int, a str, a list or tuple of
-    report values, a dict from str to report values, or a hashable report
-    object with `to_json`, written as its `to_json()` and rendered once per
-    (value, pad) into `memo`; the top-level call makes it for one document.
-    Anything else raises TypeError.  Strings are escaped through the
-    `encode_basestring_ascii` that `json.dumps` uses.  `pad` is a newline
-    plus the indent of the value's own line.
-    """
-    t = type(v)
-    if t is str:
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if t is int:
-        return int.__repr__(v)
-    memo = {} if memo is None else memo
-    inner = pad + "  "
-    if t is list or t is tuple:
-        if not v:
-            return "[]"
-        items = [encode_basestring_ascii(x) if type(x) is str else int.__repr__(x) if type(x) is int
-                 else _dumps(x, inner, memo) for x in v]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if t is dict:
-        if not v:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + (encode_basestring_ascii(x) if type(x) is str else
-                 int.__repr__(x) if type(x) is int else _dumps(x, inner, memo)) for k, x in sorted(v.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if hasattr(v, "to_json"):  # a report object: one lookup per repeat
-        return memo.get((v, pad)) or memo.setdefault((v, pad), _dumps(v.to_json(), pad, memo))
-    raise TypeError(f"not a report value: {t.__name__}")
+def _to_json(v):
+    """A report object's JSON form; any other value is not a report value."""
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    raise TypeError(f"not a report value: {type(v).__name__}")
 
 
-def _load_presentation(path: Path, window: int | None) -> ParsedPresentation:
-    parsed = parse_presentation_text(path.read_text())
+# One shared encoder: `json.dumps` would build a new one for every report.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_to_json).encode
+
+
+def _load_presentation(path: Path, window: int | None, inputs: dict[str, str]) -> ParsedPresentation:
+    parsed = parse_presentation_text(_read(path, inputs))
     if window is not None:
         p = parsed.presentation
         n = min(window, p.n_generators)
@@ -161,8 +137,8 @@ def _base_change_json(bc: BaseChange) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    parsed = _load_presentation(path, args.window)
+    inputs: dict[str, str] = {}
+    parsed = _load_presentation(Path(args.file), args.window, inputs)
     p = parsed.presentation
     finite, witness = is_locally_finite(p)
     h = homology(from_presentation(p))
@@ -189,7 +165,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "homology_trivial_unit": trivial_unit,
     }
     warnings = [TRIVIALITY_WARNING]
-    report = _report("check", [path], _config(args), findings, warnings)
+    report = _report("check", inputs, _config(args), findings, warnings)
     print(_dumps(report))
     # Over one vertex, H1 = H2 = 0 forces n = m = r2 and a diagonal of ones,
     # so a contractible complex is also balanced and unimodular.
@@ -197,11 +173,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    parsed = _load_presentation(path, args.window)
+    inputs: dict[str, str] = {}
+    parsed = _load_presentation(Path(args.file), args.window, inputs)
     p = parsed.presentation
     out = Path(args.out)
     moves_out = Path(args.moves_out) if args.moves_out else out.with_suffix(out.suffix + ".bc.json")
+    if moves_out.resolve() == out.resolve():
+        raise ValueError("--moves-out names the --out file")
     config = _config(args, out=str(out), moves_out=str(moves_out))
     try:
         cert = normalize(p)
@@ -210,7 +188,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         raise CheckFailed(
             _report(
                 "normalize",
-                [path],
+                inputs,
                 config,
                 {"error": "not unimodular", "detail": str(exc), "exponent_snf": list(diag)},
                 [],
@@ -225,18 +203,18 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         "output": str(out),
         "base_change_log": str(moves_out),
     }
-    print(_dumps(_report("normalize", [path], config, findings, [TRIVIALITY_WARNING])))
+    print(_dumps(_report("normalize", inputs, config, findings, [TRIVIALITY_WARNING])))
     return 0 if cert.exponent_check else 3
 
 
-def _surgery_code_or_fail(command: str, path: Path, p: Presentation, config: dict):
+def _surgery_code_or_fail(command: str, inputs: dict[str, str], p: Presentation, config: dict):
     try:
         return build_surgery_code(p)
     except NotHomologyTrivialUnit as exc:
         raise CheckFailed(
             _report(
                 command,
-                [path],
+                inputs,
                 config,
                 {"error": "not a homology-trivial unit-group presentation", "detail": str(exc)},
                 [TRIVIALITY_WARNING],
@@ -245,11 +223,11 @@ def _surgery_code_or_fail(command: str, path: Path, p: Presentation, config: dic
 
 
 def cmd_ribbon(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    p = _load_presentation(path, args.window).presentation
+    inputs: dict[str, str] = {}
+    p = _load_presentation(Path(args.file), args.window, inputs).presentation
     config = _config(args)
-    sc = _surgery_code_or_fail("ribbon", path, p, config)
-    print(_dumps(_report("ribbon", [path], config, sc, [TRIVIALITY_WARNING])))
+    sc = _surgery_code_or_fail("ribbon", inputs, p, config)
+    print(_dumps(_report("ribbon", inputs, config, sc, [TRIVIALITY_WARNING])))
     return 0
 
 
@@ -272,13 +250,13 @@ def _selection_report(sc, texts: list[str], homology: list, fill: tuple[int, ...
 
 
 def cmd_sublinks(args: argparse.Namespace) -> int:
-    path = Path(args.file)
     if not args.enumerate and (args.cap is not None or args.force):
         raise ValueError("--cap and --force apply only with --enumerate")
     cap = 12 if args.cap is None else args.cap
     if cap < 0:
         raise ValueError("--cap must be nonnegative")
-    p = _load_presentation(path, args.window).presentation
+    inputs: dict[str, str] = {}
+    p = _load_presentation(Path(args.file), args.window, inputs).presentation
     config = _config(
         args,
         fill=args.fill,
@@ -287,14 +265,14 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
         force=args.force,
         probe_limit=args.probe_limit,
     )
-    sc = _surgery_code_or_fail("sublinks", path, p, config)
+    sc = _surgery_code_or_fail("sublinks", inputs, p, config)
     m = len(sc.components)
     if args.enumerate:
         if m > cap and not args.force:
             raise CheckFailed(
                 _report(
                     "sublinks",
-                    [path],
+                    inputs,
                     config,
                     {
                         "error": "enumeration cap exceeded",
@@ -315,31 +293,32 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
     homology = [exterior_homology(sc, SublinkSelection(frozenset(range(1, k + 1)))) for k in range(m + 1)]
     reports = [_selection_report(sc, texts, homology, fill, args.probe_limit) for fill in fills]
     findings = {"components": m, "selections": reports}
-    print(_dumps(_report("sublinks", [path], config, findings, [TRIVIALITY_WARNING])))
+    print(_dumps(_report("sublinks", inputs, config, findings, [TRIVIALITY_WARNING])))
     return 0
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
     path = Path(args.file)
+    inputs: dict[str, str] = {}
     config = _config(args, matrix=args.matrix)
     if args.matrix:
         if args.window is not None:
             raise ValueError("--window applies to presentations, not to --matrix input")
-        m = SparseIntMatrix.from_json(json.loads(path.read_text()))
+        m = SparseIntMatrix.from_json(json.loads(_read(path, inputs)))
         diag, _, _ = smith_normal_form(m)
         findings = {"rows": m.rows, "cols": m.cols, "snf": list(diag)}
     else:
-        p = _load_presentation(path, args.window).presentation
+        p = _load_presentation(path, args.window, inputs).presentation
         findings = homology(from_presentation(p))
-    print(_dumps(_report("homology", [path], config, findings, [])))
+    print(_dumps(_report("homology", inputs, config, findings, [])))
     return 0
 
 
 def cmd_telescope(args: argparse.Namespace) -> int:
-    path = Path(args.file)
+    inputs: dict[str, str] = {}
     stages_path = Path(args.stages)
-    p = _load_presentation(path, args.window).presentation
-    stage_specs = json.loads(stages_path.read_text())
+    p = _load_presentation(Path(args.file), args.window, inputs).presentation
+    stage_specs = json.loads(_read(stages_path, inputs))
     if not isinstance(stage_specs, list) or not all(
         isinstance(s, dict)
         and all(isinstance(s.get(k), list) and all(type(x) is int for x in s[k]) for k in ("gens", "rels"))
@@ -370,15 +349,15 @@ def cmd_telescope(args: argparse.Namespace) -> int:
         "final_stage_homology": final_h,
         "homology_match": tele_h == final_h,
     }
-    print(_dumps(_report("telescope", [path, stages_path], _config(args, stages=str(stages_path)), findings, [])))
+    print(_dumps(_report("telescope", inputs, _config(args, stages=str(stages_path)), findings, [])))
     return 0 if tele_h == final_h else 3
 
 
 def cmd_pi2probe(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    p = _load_presentation(path, args.window).presentation
+    inputs: dict[str, str] = {}
+    p = _load_presentation(Path(args.file), args.window, inputs).presentation
     verdict = asphericity_verdict(p, args.limit)
-    print(_dumps(_report("pi2probe", [path], _config(args, limit=args.limit), verdict, [])))
+    print(_dumps(_report("pi2probe", inputs, _config(args, limit=args.limit), verdict, [])))
     return 1 if verdict.status == "not_aspherical" else 0
 
 

@@ -1,5 +1,6 @@
 """The benchmark's traced run looks up layer functions by name; every name it
-wraps must stay a public attribute of its `asphere` module."""
+wraps must stay a public attribute of its `asphere` module.  The benchmark's
+output checkers pass this tree's reports and flag every corrupted copy."""
 
 import contextlib
 import importlib
@@ -7,7 +8,10 @@ import importlib.util
 import io
 from pathlib import Path
 
-TRACE = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACE = PERFBENCH / "trace.py"
 
 
 def test_every_traced_function_exists():
@@ -77,3 +81,32 @@ def test_traced_commands_run_and_count(tmp_path):
     ):
         assert c[name] > 0, name
     assert c["probe.euler_gap"] == 0
+
+
+# A few cheap seed-1 jobs per workload.  On probe-finite: cyclic, then
+# non-abelian, each with a witness, and a trivial group; the self-check
+# corrupts the last job that passes with a witness, as perfbench/run.py does.
+CHECKED_JOBS = {
+    "pipeline": ["pipeline-0", "pipeline-1"],
+    "probe-finite": ["probe-trivial.0", "probe-Z2.0", "probe-Q8.0"],
+    "sublinks-walk": ["sublinks-ring-m6-L64-0", "sublinks-triangular-m6-L64-1"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(CHECKED_JOBS))
+def test_benchmark_checkers_pass_reports_and_flag_corruptions(workload, tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    asphere = importlib.import_module("asphere")
+    cli = importlib.import_module("asphere.cli")
+    checker = run.checker_for(workload, asphere)
+    jobs = {job.name: job for job in run.inputs.make_jobs(workload, 1, tmp_path)}
+    for name in CHECKED_JOBS[workload]:
+        job = jobs[name]
+        outputs, _ = run.run_job(cli, job)
+        assert run.safe_check(checker, job, outputs) == [], name
+    corrupted = run.checks.corruptions(workload, job, outputs)
+    assert corrupted
+    for label, bad in corrupted:
+        assert run.safe_check(checker, job, bad), label
