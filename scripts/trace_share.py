@@ -9,7 +9,8 @@ same `perfbench.trace` functions: the traced jobs, the unattributed
 seconds, their share of the jobs' wall time against the bound, the mean
 unattributed microseconds per job, and the number of unaccounted jobs.
 Given several spans files, it prints that block for each, under the
-file's name, and then the largest share.
+file's name, and then the largest share.  It exits 1 when any file's share
+exceeds `UNATTRIBUTED_TOTAL_SHARE`, and 0 otherwise.
 
 Usage: python scripts/trace_share.py .bench_work/spans-probe-finite-s1.jsonl [MORE_SPANS_FILES ...]
 """
@@ -52,10 +53,10 @@ def main() -> int:
         if several:
             print(f"{path}:")
         print("\n".join(lines))
+    share, path = max(shares)
     if several:
-        share, path = max(shares)
         print(f"largest share: {share:.4%} ({path})")
-    return 0
+    return 1 if share > UNATTRIBUTED_TOTAL_SHARE else 0
 
 
 if __name__ == "__main__":

@@ -233,8 +233,8 @@ def cmd_ribbon(args: argparse.Namespace) -> int:
 
 def _selection_report(sc, texts: list[str], homology: list, fill: tuple[int, ...], probe_limit: int | None) -> dict:
     """One selection's entry for a sorted, checked fill; `texts` holds each
-    component's text and `homology[k]` the exterior homology of every fill
-    of size k, both built once per code."""
+    component's text and `homology[k]` the JSON form of the exterior
+    homology of every fill of size k, both built once per code."""
     entry = {
         "fill": fill,
         "exterior": {
@@ -242,10 +242,9 @@ def _selection_report(sc, texts: list[str], homology: list, fill: tuple[int, ...
             "relators": [texts[j - 1] for j in fill],
         },
         "homology": homology[len(fill)],
-        "exterior_asphericity": ASPHERICITY_NOTE,
     }
     if probe_limit is not None:
-        entry["probe"] = asphericity_verdict(exterior(sc, SublinkSelection(fill)), probe_limit)
+        entry["probe"] = asphericity_verdict(exterior(sc, SublinkSelection(fill)), probe_limit).to_json()
     return entry
 
 
@@ -283,16 +282,19 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
                     [],
                 )
             )
-        fills = [tuple(j + 1 for j in range(m) if mask >> j & 1) for mask in range(1 << m)]
+        # Doubling keeps mask order: the fills of mask + 2^(j-1) are those of mask, plus j.
+        fills = [()]
+        for j in range(1, m + 1):
+            fills += [f + (j,) for f in fills]
     else:
         fill = frozenset(int(tok) for tok in args.fill.split(",") if tok) if args.fill else frozenset()
         _check_fill(fill, m)
         fills = [tuple(sorted(fill))]
     texts = [word_to_text(k) for k in sc.components]
     # H1 = Z^(n - |F|): one report per fill size serves every fill of that size.
-    homology = [exterior_homology(sc, SublinkSelection(frozenset(range(1, k + 1)))) for k in range(m + 1)]
+    homology = [exterior_homology(sc, SublinkSelection(frozenset(range(1, k + 1)))).to_json() for k in range(m + 1)]
     reports = [_selection_report(sc, texts, homology, fill, args.probe_limit) for fill in fills]
-    findings = {"components": m, "selections": reports}
+    findings = {"components": m, "exterior_asphericity": ASPHERICITY_NOTE, "selections": reports}
     print(_dumps(_report("sublinks", inputs, config, findings, [TRIVIALITY_WARNING])))
     return 0
 

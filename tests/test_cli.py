@@ -287,6 +287,27 @@ class TestSublinks:
             assert entry["homology"] == exterior_homology(sc, sel).to_json()
             assert entry["probe"] == asphericity_verdict(exterior(sc, sel), 64).to_json()
 
+    @pytest.mark.parametrize("argv", [["--enumerate"], ["--fill", "1,3"], ["--enumerate", "--probe-limit", "64"]])
+    def test_asphericity_note_is_written_once_per_report(self, run, tmp_path, argv):
+        f = write(tmp_path, "p.txt", UNIT3)
+        code, out, _ = run("sublinks", f, *argv)
+        assert code == 0
+        assert out.count('"exterior_asphericity"') == 1
+        findings = json.loads(out)["findings"]
+        assert findings["exterior_asphericity"] == "aspherical by construction (ribbon disk-link exterior)"
+        assert not any("exterior_asphericity" in sel for sel in findings["selections"])
+
+    def test_enumerated_fills_follow_their_masks(self, run, tmp_path):
+        # The walk builds its fills by doubling; each must still be its
+        # mask's components, in mask order.
+        for m in range(11):
+            sc = random_surgery_code(random.Random(m), "ring", m)
+            f = write(tmp_path, "p.txt", presentation_to_text(Presentation(m, sc.components)))
+            code, out, _ = run("sublinks", f, "--enumerate")
+            assert code == 0
+            fills = [sel["fill"] for sel in json.loads(out)["findings"]["selections"]]
+            assert fills == [[j + 1 for j in range(m) if mask >> j & 1] for mask in range(1 << m)]
+
     def test_probe_limit_is_checked_before_the_shared_answers(self, run, tmp_path):
         f = write(tmp_path, "p.txt", UNIT)
         for argv in (["--enumerate"], ["--fill", "1"]):  # a proper fill has H1 of positive rank
@@ -350,6 +371,7 @@ FILL_2_REPORT = """\
   },
   "findings": {
     "components": 2,
+    "exterior_asphericity": "aspherical by construction (ribbon disk-link exterior)",
     "selections": [
       {
         "exterior": {
@@ -358,7 +380,6 @@ FILL_2_REPORT = """\
             "g2 g1 g2 g1^-1 g2^-1"
           ]
         },
-        "exterior_asphericity": "aspherical by construction (ribbon disk-link exterior)",
         "fill": [
           2
         ],

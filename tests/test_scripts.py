@@ -40,7 +40,7 @@ def test_pipeline_demo_runs():
 REPORT_DIGESTS_AT_SEED_1 = {
     "pipeline": "177352464b662b3aff1841ac881f5d3fda1c4679355a2b67a6c7ad012928a46b",
     "probe-finite": "c1a24c65f21b1982e4ddf9f06d5d849b12e38667913d4e4a9b43141fc7d34a0b",
-    "sublinks-walk": "921a2d058e98c106cde9c612e7a65620755ca0a5099a38b71cc5033a43b4f7f7",
+    "sublinks-walk": "b67e8e46fec5f6a164c25ec71d6a25523162c762b46d20d7d46096d83ed7f0a6",
 }
 
 
@@ -54,7 +54,7 @@ def test_report_digest_is_pinned(workload):
 REPORT_DIGESTS_AT_SEED_2 = {
     "pipeline": "680fec23c770606724ab13b5cf73b06ea510456b7dacaaca2345dc06827772ca",
     "probe-finite": "1af6310f95e382edcb4e1b242289181a513cb12a3b6a12f43cf851673b60cac0",
-    "sublinks-walk": "bc52a4b9cab1f1fb40a72601bb76e66a1b7061fed6b14ef404e6aaa54345778f",
+    "sublinks-walk": "287a456ae7e867d909edd02a6e7ed9cdf2fce93a60ba14ef8d658cc04dbd283e",
 }
 
 
@@ -94,22 +94,27 @@ def test_trace_share_reads_span_accounting(tmp_path):
         "unaccounted jobs: 0",
     ]
     # 31 ms unattributed of 2 s is past the 1% total share, so every job
-    # counts as unaccounted.
+    # counts as unaccounted and the script exits 1.
     result = run_script("trace_share.py", spans_file(0.97))
-    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.splitlines()[1:] == [
         "unattributed: 0.031000 s of 2.000000 s",
         "share: 1.5500% (bound 1%)",
         "mean per job: 15500.0 us",
         "unaccounted jobs: 2",
     ]
-    # Several files: each block under its file's name, then the largest share.
+    # Several files: each block under its file's name, then the largest
+    # share; one file past the bound is enough to exit 1.
     low, high = spans_file(0.998), spans_file(0.97)
     result = run_script("trace_share.py", low, high)
-    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert len(lines) == 13
     assert lines[0] == f"{low}:" and lines[6] == f"{high}:"
     assert lines[3] == "share: 0.1500% (bound 1%)"
     assert lines[9] == "share: 1.5500% (bound 1%)"
     assert lines[12] == f"largest share: 1.5500% ({high})"
+    # Every file within the bound: exit 0.
+    result = run_script("trace_share.py", low, low)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1] == f"largest share: 0.1500% ({low})"
