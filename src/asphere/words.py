@@ -3,7 +3,8 @@
 A letter is a nonzero int: +k is g<k> and -k its inverse.  Words are kept
 freely reduced at all times: every constructor reduces eagerly, so
 downstream code may assume reduced form everywhere.  All values are
-immutable and all operations are pure.
+immutable and all operations are pure.  Each word computes its largest
+generator index once, cached outside the fields that == and hash see.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ class Word:
                 sums[-x] = sums.get(-x, 0) - 1
         return {i: v for i, v in sums.items() if v}
 
-    def max_index(self) -> int:
+    @cached_property
+    def _max_index(self) -> int:
         return max(map(abs, self.letters), default=0)
+
+    def max_index(self) -> int:
+        return self._max_index
 
     def indices(self) -> frozenset[int]:
         return frozenset(map(abs, self.letters))

@@ -73,6 +73,11 @@ class TestTwoComplex:
     def test_missing_edge_rejected(self):
         with pytest.raises(ValueError):
             TwoComplex(1, ((1, 1),), (parse_word("g2"),))
+        # A word whose index a wider presentation has read already.
+        w = parse_word("g1 g2")
+        Presentation(2, (w,))
+        with pytest.raises(ValueError, match=r"^face 1 references a missing edge$"):
+            TwoComplex(1, ((1, 1),), (w,))
 
     def test_open_path_rejected(self):
         # edge 1 goes 1 -> 2 and nothing returns

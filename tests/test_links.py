@@ -81,6 +81,11 @@ class TestSurgeryCode:
     def test_missing_handle_rejected(self):
         with pytest.raises(ValueError):
             SurgeryCode(1, (parse_word("g2 g1 g2^-1"),))
+        # A word whose index a wider presentation has read already.
+        w = parse_word("g2 g1 g2^-1")
+        Presentation(2, (w,))
+        with pytest.raises(ValueError, match=r"^component 1 touches a missing handle$"):
+            SurgeryCode(1, (w,))
 
     def test_to_json(self):
         sc = SurgeryCode(1, (parse_word("g1"),))

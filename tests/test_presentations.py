@@ -52,6 +52,11 @@ class TestPresentation:
     def test_relator_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             P(1, "g2")
+        # A word whose index a wider presentation has read already.
+        w = parse_word("g1 g3")
+        Presentation(3, (w,))
+        with pytest.raises(ValueError, match=r"^relator 2 uses generator 3 beyond window of 2$"):
+            Presentation(2, (parse_word("g1"), w))
 
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +266,10 @@ class TestTextFormat:
         with pytest.raises(ParseError) as exc:
             parse_presentation_text("gens: 2\n  rel r: g1 g3\n")
         assert (exc.value.line, exc.value.col) == (2, 10)
+        with pytest.raises(ParseError) as exc:
+            parse_presentation_text("gens: 2\nrel a: g1 g2\nrel b: g2  g3 g1\n")
+        assert (exc.value.line, exc.value.col) == (3, 8)
+        assert exc.value.message == "relator uses generator g3 beyond window"
 
     def test_unrecognized_line(self):
         with pytest.raises(ParseError):

@@ -90,31 +90,33 @@ def test_trace_share_reads_span_accounting(tmp_path):
         "traced jobs: 2",
         "unattributed: 0.003000 s of 2.000000 s",
         "share: 0.1500% (bound 1%)",
+        "headroom: 85.00%",
         "mean per job: 1500.0 us",
         "unaccounted jobs: 0",
     ]
-    # 31 ms unattributed of 2 s is past the 1% total share, so every job
-    # counts as unaccounted and the script exits 1.
+    # 31 ms unattributed of 2 s is past the 1% total share, so the headroom
+    # is negative, every job counts as unaccounted and the script exits 1.
     result = run_script("trace_share.py", spans_file(0.97))
     assert result.returncode == 1, result.stdout + result.stderr
     assert result.stdout.splitlines()[1:] == [
         "unattributed: 0.031000 s of 2.000000 s",
         "share: 1.5500% (bound 1%)",
+        "headroom: -55.00%",
         "mean per job: 15500.0 us",
         "unaccounted jobs: 2",
     ]
     # Several files: each block under its file's name, then the largest
-    # share; one file past the bound is enough to exit 1.
+    # share with its headroom; one file past the bound is enough to exit 1.
     low, high = spans_file(0.998), spans_file(0.97)
     result = run_script("trace_share.py", low, high)
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 13
-    assert lines[0] == f"{low}:" and lines[6] == f"{high}:"
-    assert lines[3] == "share: 0.1500% (bound 1%)"
-    assert lines[9] == "share: 1.5500% (bound 1%)"
-    assert lines[12] == f"largest share: 1.5500% ({high})"
+    assert len(lines) == 15
+    assert lines[0] == f"{low}:" and lines[7] == f"{high}:"
+    assert lines[3:5] == ["share: 0.1500% (bound 1%)", "headroom: 85.00%"]
+    assert lines[10:12] == ["share: 1.5500% (bound 1%)", "headroom: -55.00%"]
+    assert lines[14] == f"largest share: 1.5500%, headroom -55.00% ({high})"
     # Every file within the bound: exit 0.
     result = run_script("trace_share.py", low, low)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.splitlines()[-1] == f"largest share: 0.1500% ({low})"
+    assert result.stdout.splitlines()[-1] == f"largest share: 0.1500%, headroom 85.00% ({low})"

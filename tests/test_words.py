@@ -4,7 +4,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from asphere import (
     BaseChange,
@@ -143,6 +143,21 @@ class TestWordQueries:
         assert w.indices() == frozenset({2, 5})
         assert Word().max_index() == 0
         assert Word().indices() == frozenset()
+
+    @given(words)
+    @example(Word())
+    def test_max_index_is_the_largest_letter_on_every_call(self, w):
+        expect = max(map(abs, w.letters), default=0)
+        assert w.max_index() == expect
+        assert w.max_index() == expect
+
+    def test_cached_max_index_keeps_equality_and_hash(self):
+        a, b = W([(2, 1), (5, -1)]), W([(2, 1), (5, -1)])
+        assert a.max_index() == 5
+        assert a == b and hash(a) == hash(b)
+        assert {a: "cached"}[b] == "cached"
+        assert b.max_index() == 5
+        assert a != W([(2, 1)])
 
     def test_rename(self):
         w = W([(2, 1), (5, -1), (2, 1)])
