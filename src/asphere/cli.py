@@ -6,17 +6,25 @@ line with sorted keys, as `json.dumps(report, sort_keys=True,
 separators=(",", ":"))` writes it; `normalize` writes its base-change log
 the same way.  Identical inputs and flags produce byte-identical findings.
 Exit codes: 0 ok, 1 check failed, 2 parse/usage error, 3 internal
-invariant violation.
+invariant violation.  Input digests come from the interpreter's built-in
+SHA-256, so no command loads OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from pathlib import Path
+
+try:  # hashlib's digest without hashlib, which loads OpenSSL (about 3.5 MiB)
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .complexes import (
@@ -69,7 +77,7 @@ def _read(path: Path, inputs: dict[str, str]) -> str:
     """An input file's text, read once; `inputs` records the sha256 of the
     bytes parsed, even if the command then overwrites the file."""
     data = path.read_bytes()
-    inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    inputs[str(path)] = sha256(data).hexdigest()
     return data.decode()
 
 

@@ -1,15 +1,21 @@
 """Command-line reports: exit codes, JSON shape, and determinism."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from asphere import Presentation, probe
-from asphere.cli import _dumps, _load_presentation, main
+from asphere.cli import _dumps, _load_presentation, build_parser, main
 from asphere.complexes import HomologyReport
 from asphere.links import SublinkSelection, exterior, exterior_homology
 from asphere.presentations import presentation_to_text
@@ -19,6 +25,7 @@ from asphere.words import parse_word, word_to_text
 from support import random_surgery_code
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 SCRAMBLED = "gens: a b\nrel r1: a b a^-1 b^-2\nrel r2: b a b^-1 a^-2\n"
@@ -643,6 +650,47 @@ class TestDeterminism:
         assert codes == [0, 0, 0, 1, 0, 0, 0, 0, 0]
         log = (tmp_path / "n.txt.bc.json").read_text()
         assert json.loads(log)["moves"] and log == compact(log)
+
+
+class TestFootprint:
+    @pytest.mark.parametrize(
+        "hide, loaded",
+        [("", "[]"), ("sys.modules['_sha256'] = sys.modules['_sha2'] = None\n", "['_hashlib', 'hashlib']")],
+        ids=["builtin", "fallback"],
+    )
+    def test_input_digest_without_openssl(self, tmp_path, hide, loaded):
+        """In a fresh interpreter the built-in SHA-256 keeps `hashlib`, and
+        OpenSSL under it, out of the process; without that module the
+        digest comes from `hashlib`, byte for byte the same."""
+        f = write(tmp_path, "p.txt", UNIT)
+        code = (
+            f"import sys\n{hide}"
+            "from asphere.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "print(sorted({'hashlib', '_hashlib'} & sys.modules.keys()))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "check", f], env=env, capture_output=True, text=True, check=True
+        )
+        report, modules = proc.stdout.splitlines()
+        assert modules == loaded
+        assert json.loads(report)["inputs"] == {f: hashlib.sha256(UNIT.encode()).hexdigest()}
+
+    def test_commands_leave_no_cyclic_garbage(self, tmp_path):
+        """Garbage in a reference cycle lives until a collection and inflates
+        the resident peak; no command should leave any once the parser is
+        built."""
+        build_parser()
+        for argv in every_command(tmp_path):
+            gc.collect()
+            gc.disable()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(list(argv))
+                assert gc.collect() == 0, argv
+            finally:
+                gc.enable()
 
 
 json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d11e')))
