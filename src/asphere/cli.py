@@ -50,7 +50,6 @@ from .presentations import (
     WindowMismatch,
     exponent_matrix,
     is_homology_trivial_unit,
-    is_locally_finite,
     normalize,
     parse_presentation_text,
     presentation_to_text,
@@ -123,7 +122,7 @@ def _load_presentation(path: Path, window: int | None, inputs: dict[str, str]) -
 
 
 def _config(args: argparse.Namespace, **extra) -> dict:
-    config = {"window": args.window, "seed": args.seed}
+    config = {"window": args.window}
     config.update(extra)
     return config
 
@@ -148,7 +147,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     inputs: dict[str, str] = {}
     parsed = _load_presentation(Path(args.file), args.window, inputs)
     p = parsed.presentation
-    finite, witness = is_locally_finite(p)
     h = homology(from_presentation(p))
     # d2 of the one-vertex complex is the exponent matrix, so its Smith
     # diagonal is read off the homology: r2 nonzero entries, torsion last.
@@ -165,7 +163,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         "generators": p.n_generators,
         "relators": len(p.relators),
         "balanced": p.balanced,
-        "locally_finite": {"ok": finite, "max_incidence": witness},
         "exponent_snf": list(diag),
         "unimodular": unimodular,
         "homology": h,
@@ -257,8 +254,8 @@ def _selection_report(sc, texts: list[str], homology: list, fill: tuple[int, ...
 
 
 def cmd_sublinks(args: argparse.Namespace) -> int:
-    if not args.enumerate and (args.cap is not None or args.force):
-        raise ValueError("--cap and --force apply only with --enumerate")
+    if not args.enumerate and args.cap is not None:
+        raise ValueError("--cap applies only with --enumerate")
     cap = 12 if args.cap is None else args.cap
     if cap < 0:
         raise ValueError("--cap must be nonnegative")
@@ -269,13 +266,12 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
         fill=args.fill,
         enumerate=args.enumerate,
         cap=cap,
-        force=args.force,
         probe_limit=args.probe_limit,
     )
     sc = _surgery_code_or_fail("sublinks", inputs, p, config)
     m = len(sc.components)
     if args.enumerate:
-        if m > cap and not args.force:
+        if m > cap:
             raise CheckFailed(
                 _report(
                     "sublinks",
@@ -285,7 +281,7 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
                         "error": "enumeration cap exceeded",
                         "components": m,
                         "cap": cap,
-                        "hint": "re-run with --force to walk all subsets",
+                        "hint": f"re-run with --cap {m} to walk all 2^{m} subsets",
                     },
                     [],
                 )
@@ -382,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Presentation, 2-complex, and ribbon-link workbench.",
     )
     parser.add_argument("--window", type=int, default=None, help="truncation window for streamed presentations")
-    parser.add_argument("--seed", type=int, default=None, help="seed recorded for fuzz fixtures")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("check", help="hypothesis checks for a presentation file")
@@ -405,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--fill", default=None, help="comma-separated component indices")
     g.add_argument("--enumerate", action="store_true", help="walk all 2^m selections")
     s.add_argument("--cap", type=int, default=None, help="enumeration cap on components (default 12)")
-    s.add_argument("--force", action="store_true", help="override the enumeration cap")
     s.add_argument("--probe-limit", type=int, default=None, help="also probe each exterior")
     s.set_defaults(func=cmd_sublinks)
 

@@ -1,5 +1,6 @@
 """Command-line reports: exit codes, JSON shape, and determinism."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -221,11 +222,15 @@ class TestSublinks:
         assert code == 1
         assert report["findings"]["error"] == "enumeration cap exceeded"
 
-    def test_force_overrides_cap(self, run, tmp_path):
+    def test_cap_hint_names_a_cap_that_passes(self, run, tmp_path):
         f = write(tmp_path, "p.txt", UNIT)
-        code, out, _ = run("sublinks", f, "--enumerate", "--cap", "1", "--force")
+        code, out, _ = run("sublinks", f, "--enumerate", "--cap", "1")
+        assert code == 1
+        hint = json.loads(out)["findings"]["hint"]
+        assert hint == "re-run with --cap 2 to walk all 2^2 subsets"
+        code, out, _ = run("sublinks", f, "--enumerate", *hint.split()[2:4])
         assert code == 0
-        assert len(json.loads(out)["findings"]["selections"]) == 4
+        assert [s["fill"] for s in json.loads(out)["findings"]["selections"]] == [[], [1], [2], [1, 2]]
 
     def test_probe_limit_adds_verdicts(self, run, tmp_path):
         f = write(tmp_path, "p.txt", DISK)
@@ -333,9 +338,19 @@ class TestSublinks:
         code, out, err = run("sublinks", f, "--enumerate", "--cap", "-1")
         assert (code, out) == (2, "")
         assert "--cap must be nonnegative" in err
-        code, out, _ = run("sublinks", f, "--enumerate", "--cap", "0", "--force")
-        assert code == 0
-        assert json.loads(out)["config"]["cap"] == 0
+        code, out, _ = run("sublinks", f, "--enumerate", "--cap", "0")
+        report = json.loads(out)
+        assert report["config"]["cap"] == 0
+        if text == UNIT:  # two components exceed a cap of 0
+            assert code == 1
+            assert report["findings"] == {
+                "error": "enumeration cap exceeded",
+                "components": 2,
+                "cap": 0,
+                "hint": "re-run with --cap 2 to walk all 2^2 subsets",
+            }
+        else:
+            assert code == 0
 
     def test_fill_with_enumerate_is_a_usage_error(self, run, tmp_path):
         f = write(tmp_path, "p.txt", UNIT)
@@ -347,13 +362,7 @@ class TestSublinks:
         f = write(tmp_path, "p.txt", UNIT)
         code, out, err = run("sublinks", f, "--fill", "2", "--cap", "1")
         assert (code, out) == (2, "")
-        assert "--cap and --force apply only with --enumerate" in err
-
-    def test_force_without_enumerate_is_a_usage_error(self, run, tmp_path):
-        f = write(tmp_path, "p.txt", UNIT)
-        code, out, err = run("sublinks", f, "--force")
-        assert (code, out) == (2, "")
-        assert "--cap and --force apply only with --enumerate" in err
+        assert "--cap applies only with --enumerate" in err
 
     @pytest.mark.parametrize("fill", ["9", "0", "1,3"])
     def test_missing_component_exit_2(self, run, tmp_path, fill):
@@ -371,9 +380,7 @@ FILL_2_REPORT = """\
     "cap": 12,
     "enumerate": false,
     "fill": "2",
-    "force": false,
     "probe_limit": null,
-    "seed": null,
     "window": null
   },
   "findings": {
@@ -612,6 +619,49 @@ class TestParserReuse:
         assert json.loads(out)["findings"]["generators"] == 2
 
 
+def option_strings(parser):
+    return sorted(
+        s for a in parser._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings
+    )
+
+
+class TestUsage:
+    def test_option_census(self):
+        # Every option of every command, so that a new knob shows up here.
+        parser = build_parser()
+        (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        census = {"": option_strings(parser)}
+        census.update((name, option_strings(p)) for name, p in commands.choices.items())
+        assert census == {
+            "": ["--window"],
+            "check": [],
+            "normalize": ["--moves-out", "--out"],
+            "ribbon": [],
+            "sublinks": ["--cap", "--enumerate", "--fill", "--probe-limit"],
+            "homology": ["--matrix"],
+            "telescope": ["--stages"],
+            "pi2probe": ["--limit"],
+        }
+        assert sum(map(len, census.values())) == 10
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--seed=1", "check", "{f}"], "unrecognized arguments: --seed=1"),
+            # the value then stands where the command belongs
+            (["--seed", "1", "check", "{f}"], "argument command: invalid choice: '1'"),
+            (["sublinks", "{f}", "--enumerate", "--force"], "unrecognized arguments: --force"),
+        ],
+        ids=["seed=1", "seed_1", "force"],
+    )
+    def test_removed_options_are_usage_errors(self, run, tmp_path, capsys, argv, error):
+        f = write(tmp_path, "p.txt", UNIT)
+        with pytest.raises(SystemExit) as exc:
+            run(*(a.format(f=f) for a in argv))
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
+
+
 def every_command(tmp_path):
     """One argv per command on the fixtures: `normalize` rewrites SCRAMBLED,
     and `ribbon` on SCRAMBLED fails its check and still reports."""
@@ -775,7 +825,7 @@ class TestWriter:
 
     def test_non_report_value_in_a_report_exits_3(self, run, tmp_path, monkeypatch):
         f = write(tmp_path, "p.txt", UNIT)
-        monkeypatch.setattr("asphere.cli.is_locally_finite", lambda p: (True, object()))
+        monkeypatch.setattr("asphere.cli.is_homology_trivial_unit", lambda p: object())
         code, out, err = run("check", f)
         assert (code, out) == (3, "")
         assert err.startswith("internal error: TypeError")

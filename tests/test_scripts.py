@@ -38,9 +38,9 @@ def test_pipeline_demo_runs():
 # Python 3.11.  A change that alters a report on purpose updates its pin and
 # says so.
 REPORT_DIGESTS_AT_SEED_1 = {
-    "pipeline": "177352464b662b3aff1841ac881f5d3fda1c4679355a2b67a6c7ad012928a46b",
-    "probe-finite": "c1a24c65f21b1982e4ddf9f06d5d849b12e38667913d4e4a9b43141fc7d34a0b",
-    "sublinks-walk": "b67e8e46fec5f6a164c25ec71d6a25523162c762b46d20d7d46096d83ed7f0a6",
+    "pipeline": "7a3aff52952624e3ec27bcecf1c4b5a2dbe8dce8a6df0471b3d4e3016f8d1bc3",
+    "probe-finite": "26f28811e28eb1af0ac8554585712b2a03a260f5dc9ba7cdaebebf531165463f",
+    "sublinks-walk": "c70a08c424aa8e9b1b033fb843ada0f6f0b62939dc8969ac7750cab952fad2c3",
 }
 
 
@@ -52,9 +52,9 @@ def test_report_digest_is_pinned(workload):
 
 
 REPORT_DIGESTS_AT_SEED_2 = {
-    "pipeline": "680fec23c770606724ab13b5cf73b06ea510456b7dacaaca2345dc06827772ca",
-    "probe-finite": "1af6310f95e382edcb4e1b242289181a513cb12a3b6a12f43cf851673b60cac0",
-    "sublinks-walk": "287a456ae7e867d909edd02a6e7ed9cdf2fce93a60ba14ef8d658cc04dbd283e",
+    "pipeline": "675dd69973f70f9fbb7723f69b9d4fc56079752af8031c12e81398d4c82b9cd7",
+    "probe-finite": "c86a6abc8224fd8b754aacc5ae5e174011692da5f84375b43ba7e5606699e216",
+    "sublinks-walk": "0596db35fb6c7612c65a170d14f55789d24f85d6a62e4d27b102132f84c3ac2b",
 }
 
 
