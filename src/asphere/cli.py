@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: check, normalize, ribbon, sublinks, homology, telescope,
-pi2probe.  Every command emits a single JSON report on stdout, one compact
-line with sorted keys, as `json.dumps(report, sort_keys=True,
-separators=(",", ":"))` writes it; `normalize` writes its base-change log
-the same way.  Identical inputs and flags produce byte-identical findings.
+pi2probe.  Each command returns its findings and warnings, and `main`
+writes the report: one JSON object on stdout with the keys `tool`,
+`version`, `command`, `inputs`, `config`, `findings` and `warnings`, a
+check-failed report included.  It is one compact line with sorted keys, as
+`json.dumps(report, sort_keys=True, separators=(",", ":"))` writes it;
+`normalize` writes its base-change log the same way.  Identical inputs and
+flags produce byte-identical findings.
 Exit codes: 0 ok, 1 check failed, 2 parse/usage error, 3 internal
 invariant violation.  Input digests come from the interpreter's built-in
 SHA-256, so no command loads OpenSSL.
@@ -59,11 +62,13 @@ from .words import BaseChange, Invert, RightMultiply, Swap, word_to_text
 
 
 class CheckFailed(Exception):
-    """A command-level check failed; carries the report to emit."""
+    """A command-level check failed; carries the findings and warnings to
+    report, which `main` writes with exit code 1."""
 
-    def __init__(self, report: dict):
+    def __init__(self, findings: dict, warnings: list[str]):
         super().__init__("check failed")
-        self.report = report
+        self.findings = findings
+        self.warnings = warnings
 
 
 TRIVIALITY_WARNING = (
@@ -78,18 +83,6 @@ def _read(path: Path, inputs: dict[str, str]) -> str:
     data = path.read_bytes()
     inputs[str(path)] = sha256(data).hexdigest()
     return data.decode()
-
-
-def _report(command: str, inputs: dict[str, str], config: dict, findings: object, warnings: list[str]) -> dict:
-    return {
-        "tool": "asphere",
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "config": config,
-        "findings": findings,
-        "warnings": warnings,
-    }
 
 
 def _to_json(v):
@@ -121,12 +114,6 @@ def _load_presentation(path: Path, window: int | None, inputs: dict[str, str]) -
     return parsed
 
 
-def _config(args: argparse.Namespace, **extra) -> dict:
-    config = {"window": args.window}
-    config.update(extra)
-    return config
-
-
 def _base_change_json(bc: BaseChange) -> dict:
     moves = []
     for m in bc.moves:
@@ -140,13 +127,13 @@ def _base_change_json(bc: BaseChange) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each records its input digests in `inputs` through `_read`,
+# adds its own options to `config` with defaults resolved, and returns its
+# exit code, findings and warnings.
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    inputs: dict[str, str] = {}
-    parsed = _load_presentation(Path(args.file), args.window, inputs)
-    p = parsed.presentation
+def cmd_check(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
+    p = _load_presentation(Path(args.file), args.window, inputs).presentation
     h = homology(from_presentation(p))
     # d2 of the one-vertex complex is the exponent matrix, so its Smith
     # diagonal is read off the homology: r2 nonzero entries, torsion last.
@@ -169,36 +156,24 @@ def cmd_check(args: argparse.Namespace) -> int:
         "homologically_contractible": contractible,
         "homology_trivial_unit": trivial_unit,
     }
-    warnings = [TRIVIALITY_WARNING]
-    report = _report("check", inputs, _config(args), findings, warnings)
-    print(_dumps(report))
     # Over one vertex, H1 = H2 = 0 forces n = m = r2 and a diagonal of ones,
     # so a contractible complex is also balanced and unimodular.
-    return 0 if contractible else 1
+    return (0 if contractible else 1), findings, [TRIVIALITY_WARNING]
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
-    inputs: dict[str, str] = {}
+def cmd_normalize(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
     parsed = _load_presentation(Path(args.file), args.window, inputs)
     p = parsed.presentation
     out = Path(args.out)
     moves_out = Path(args.moves_out) if args.moves_out else out.with_suffix(out.suffix + ".bc.json")
     if moves_out.resolve() == out.resolve():
         raise ValueError("--moves-out names the --out file")
-    config = _config(args, out=str(out), moves_out=str(moves_out))
+    config.update(out=str(out), moves_out=str(moves_out))
     try:
         cert = normalize(p)
     except NotUnimodular as exc:
         diag, _, _ = smith_normal_form(exponent_matrix(p))
-        raise CheckFailed(
-            _report(
-                "normalize",
-                inputs,
-                config,
-                {"error": "not unimodular", "detail": str(exc), "exponent_snf": list(diag)},
-                [],
-            )
-        ) from exc
+        raise CheckFailed({"error": "not unimodular", "detail": str(exc), "exponent_snf": list(diag)}, []) from exc
     normalized = Presentation(p.n_generators, cert.new_relators)
     out.write_text(presentation_to_text(normalized, parsed.gen_names, parsed.rel_names))
     moves_out.write_text(_dumps(_base_change_json(cert.base_change)))
@@ -208,32 +183,20 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         "output": str(out),
         "base_change_log": str(moves_out),
     }
-    print(_dumps(_report("normalize", inputs, config, findings, [TRIVIALITY_WARNING])))
-    return 0 if cert.exponent_check else 3
+    return (0 if cert.exponent_check else 3), findings, [TRIVIALITY_WARNING]
 
 
-def _surgery_code_or_fail(command: str, inputs: dict[str, str], p: Presentation, config: dict):
+def _surgery_code_or_fail(p: Presentation):
     try:
         return build_surgery_code(p)
     except NotHomologyTrivialUnit as exc:
-        raise CheckFailed(
-            _report(
-                command,
-                inputs,
-                config,
-                {"error": "not a homology-trivial unit-group presentation", "detail": str(exc)},
-                [TRIVIALITY_WARNING],
-            )
-        ) from exc
+        findings = {"error": "not a homology-trivial unit-group presentation", "detail": str(exc)}
+        raise CheckFailed(findings, [TRIVIALITY_WARNING]) from exc
 
 
-def cmd_ribbon(args: argparse.Namespace) -> int:
-    inputs: dict[str, str] = {}
+def cmd_ribbon(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
     p = _load_presentation(Path(args.file), args.window, inputs).presentation
-    config = _config(args)
-    sc = _surgery_code_or_fail("ribbon", inputs, p, config)
-    print(_dumps(_report("ribbon", inputs, config, sc, [TRIVIALITY_WARNING])))
-    return 0
+    return 0, _surgery_code_or_fail(p), [TRIVIALITY_WARNING]
 
 
 def _selection_report(sc, texts: list[str], homology: list, fill: tuple[int, ...], probe_limit: int | None) -> dict:
@@ -253,39 +216,20 @@ def _selection_report(sc, texts: list[str], homology: list, fill: tuple[int, ...
     return entry
 
 
-def cmd_sublinks(args: argparse.Namespace) -> int:
+def cmd_sublinks(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
     if not args.enumerate and args.cap is not None:
         raise ValueError("--cap applies only with --enumerate")
     cap = 12 if args.cap is None else args.cap
     if cap < 0:
         raise ValueError("--cap must be nonnegative")
-    inputs: dict[str, str] = {}
+    config.update(fill=args.fill, enumerate=args.enumerate, cap=cap, probe_limit=args.probe_limit)
     p = _load_presentation(Path(args.file), args.window, inputs).presentation
-    config = _config(
-        args,
-        fill=args.fill,
-        enumerate=args.enumerate,
-        cap=cap,
-        probe_limit=args.probe_limit,
-    )
-    sc = _surgery_code_or_fail("sublinks", inputs, p, config)
+    sc = _surgery_code_or_fail(p)
     m = len(sc.components)
     if args.enumerate:
         if m > cap:
-            raise CheckFailed(
-                _report(
-                    "sublinks",
-                    inputs,
-                    config,
-                    {
-                        "error": "enumeration cap exceeded",
-                        "components": m,
-                        "cap": cap,
-                        "hint": f"re-run with --cap {m} to walk all 2^{m} subsets",
-                    },
-                    [],
-                )
-            )
+            hint = f"re-run with --cap {m} to walk all 2^{m} subsets"
+            raise CheckFailed({"error": "enumeration cap exceeded", "components": m, "cap": cap, "hint": hint}, [])
         # Doubling keeps mask order: the fills of mask + 2^(j-1) are those of mask, plus j.
         fills = [()]
         for j in range(1, m + 1):
@@ -299,30 +243,25 @@ def cmd_sublinks(args: argparse.Namespace) -> int:
     homology = [exterior_homology(sc, SublinkSelection(frozenset(range(1, k + 1)))).to_json() for k in range(m + 1)]
     reports = [_selection_report(sc, texts, homology, fill, args.probe_limit) for fill in fills]
     findings = {"components": m, "exterior_asphericity": ASPHERICITY_NOTE, "selections": reports}
-    print(_dumps(_report("sublinks", inputs, config, findings, [TRIVIALITY_WARNING])))
-    return 0
+    return 0, findings, [TRIVIALITY_WARNING]
 
 
-def cmd_homology(args: argparse.Namespace) -> int:
+def cmd_homology(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
     path = Path(args.file)
-    inputs: dict[str, str] = {}
-    config = _config(args, matrix=args.matrix)
+    config["matrix"] = args.matrix
     if args.matrix:
         if args.window is not None:
             raise ValueError("--window applies to presentations, not to --matrix input")
         m = SparseIntMatrix.from_json(json.loads(_read(path, inputs)))
         diag, _, _ = smith_normal_form(m)
-        findings = {"rows": m.rows, "cols": m.cols, "snf": list(diag)}
-    else:
-        p = _load_presentation(path, args.window, inputs).presentation
-        findings = homology(from_presentation(p))
-    print(_dumps(_report("homology", inputs, config, findings, [])))
-    return 0
+        return 0, {"rows": m.rows, "cols": m.cols, "snf": list(diag)}, []
+    p = _load_presentation(path, args.window, inputs).presentation
+    return 0, homology(from_presentation(p)), []
 
 
-def cmd_telescope(args: argparse.Namespace) -> int:
-    inputs: dict[str, str] = {}
+def cmd_telescope(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
     stages_path = Path(args.stages)
+    config["stages"] = str(stages_path)
     p = _load_presentation(Path(args.file), args.window, inputs).presentation
     stage_specs = json.loads(_read(stages_path, inputs))
     if not isinstance(stage_specs, list) or not all(
@@ -355,16 +294,14 @@ def cmd_telescope(args: argparse.Namespace) -> int:
         "final_stage_homology": final_h,
         "homology_match": tele_h == final_h,
     }
-    print(_dumps(_report("telescope", inputs, _config(args, stages=str(stages_path)), findings, [])))
-    return 0 if tele_h == final_h else 3
+    return (0 if tele_h == final_h else 3), findings, []
 
 
-def cmd_pi2probe(args: argparse.Namespace) -> int:
-    inputs: dict[str, str] = {}
+def cmd_pi2probe(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
+    config["limit"] = args.limit
     p = _load_presentation(Path(args.file), args.window, inputs).presentation
     verdict = asphericity_verdict(p, args.limit)
-    print(_dumps(_report("pi2probe", inputs, _config(args, limit=args.limit), verdict, [])))
-    return 1 if verdict.status == "not_aspherical" else 0
+    return (1 if verdict.status == "not_aspherical" else 0), verdict, []
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +359,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    inputs: dict[str, str] = {}
+    config = {"window": args.window}
     try:
-        return args.func(args)
-    except CheckFailed as exc:
-        print(_dumps(exc.report))
-        return 1
+        try:
+            code, findings, warnings = args.func(args, inputs, config)
+        except CheckFailed as exc:
+            code, findings, warnings = 1, exc.findings, exc.warnings
+        report = {
+            "tool": "asphere",
+            "version": __version__,
+            "command": args.command,
+            "inputs": inputs,
+            "config": config,
+            "findings": findings,
+            "warnings": warnings,
+        }
+        print(_dumps(report))
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

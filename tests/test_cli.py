@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from asphere import Presentation, probe
+from asphere import Presentation, __version__, probe
 from asphere.cli import _dumps, _load_presentation, build_parser, main
 from asphere.complexes import HomologyReport
 from asphere.links import SublinkSelection, exterior, exterior_homology
-from asphere.presentations import presentation_to_text
+from asphere.presentations import exponent_matrix, parse_presentation_text, presentation_to_text
 from asphere.probe import Verdict, asphericity_verdict
 from asphere.words import parse_word, word_to_text
 
@@ -91,6 +91,30 @@ class TestCheck:
         assert code == 2
         assert not out
         assert "parse error" in err
+
+    def test_unrecognized_line_exit_2(self, run, tmp_path):
+        f = write(tmp_path, "p.txt", "gens: 1\nfoo\n")
+        assert run("check", f) == (2, "", "parse error: line 2, col 1: unrecognized line 'foo'\n")
+
+    @pytest.mark.parametrize(
+        "text, snf, h2",
+        [
+            ("gens: 1\nrel r: g1^2\n", [2], 0),
+            ("gens: 2\nrel r: g1 g2 g1^-1 g2^-1\n", [0], 1),
+            ("gens: 2\nrel a: g1^2\nrel b: g2^2\nrel c: g1 g2 g1^-1 g2^-1\n", [2, 2], 1),
+        ],
+        ids=["torsion", "torus", "torsion-and-h2"],
+    )
+    def test_exponent_snf_is_the_smith_form_of_the_exponent_matrix(self, run, tmp_path, text, snf, h2):
+        # `check` reads the Smith diagonal off the homology; `homology
+        # --matrix` computes it from the exponent matrix itself.
+        code, out, _ = run("check", write(tmp_path, "p.txt", text))
+        findings = json.loads(out)["findings"]
+        assert (code, findings["exponent_snf"], findings["homology"]["H2"]) == (1, snf, h2)
+        matrix = exponent_matrix(parse_presentation_text(text).presentation).to_json()
+        code, out, _ = run("homology", write(tmp_path, "m.json", json.dumps(matrix)), "--matrix")
+        assert code == 0
+        assert json.loads(out)["findings"]["snf"] == snf
 
     def test_missing_file_exit_2(self, run, tmp_path):
         code, _, err = run("check", str(tmp_path / "absent.txt"))
@@ -619,30 +643,34 @@ class TestParserReuse:
         assert json.loads(out)["findings"]["generators"] == 2
 
 
-def option_strings(parser):
-    return sorted(
-        s for a in parser._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings
-    )
+def option_defaults(parser):
+    return {
+        s: a.default for a in parser._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings
+    }
 
 
 class TestUsage:
-    def test_option_census(self):
-        # Every option of every command, so that a new knob shows up here.
+    def test_option_census(self, run, tmp_path):
+        # Every option of every command and its default, so that a new knob
+        # or a changed default shows up here.
         parser = build_parser()
         (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        census = {"": option_strings(parser)}
-        census.update((name, option_strings(p)) for name, p in commands.choices.items())
+        census = {"": option_defaults(parser)}
+        census.update((name, option_defaults(p)) for name, p in commands.choices.items())
         assert census == {
-            "": ["--window"],
-            "check": [],
-            "normalize": ["--moves-out", "--out"],
-            "ribbon": [],
-            "sublinks": ["--cap", "--enumerate", "--fill", "--probe-limit"],
-            "homology": ["--matrix"],
-            "telescope": ["--stages"],
-            "pi2probe": ["--limit"],
+            "": {"--window": None},
+            "check": {},
+            "normalize": {"--moves-out": None, "--out": None},
+            "ribbon": {},
+            "sublinks": {"--cap": None, "--enumerate": False, "--fill": None, "--probe-limit": None},
+            "homology": {"--matrix": False},
+            "telescope": {"--stages": None},
+            "pi2probe": {"--limit": 256},
         }
         assert sum(map(len, census.values())) == 10
+        code, out, _ = run("pi2probe", write(tmp_path, "p.txt", DISK))
+        assert code == 0
+        assert json.loads(out)["config"] == {"window": None, "limit": 256}
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -700,6 +728,45 @@ class TestDeterminism:
         assert codes == [0, 0, 0, 1, 0, 0, 0, 0, 0]
         log = (tmp_path / "n.txt.bc.json").read_text()
         assert json.loads(log)["moves"] and log == compact(log)
+
+
+class TestEnvelope:
+    def test_every_report_has_the_seven_keys_and_its_resolved_config(self, run, tmp_path):
+        # The three check-failed reports (`ribbon` on SCRAMBLED is one of
+        # every_command's) carry the config resolved before the check failed.
+        n, t = str(tmp_path / "n.txt"), str(tmp_path / "t.txt")
+        stages = str(tmp_path / "stages.json")
+        configs = [
+            {},
+            {"out": n, "moves_out": n + ".bc.json"},
+            {},
+            {},
+            {"fill": None, "enumerate": True, "cap": 12, "probe_limit": 32},
+            {"matrix": False},
+            {"matrix": True},
+            {"stages": stages},
+            {"limit": 32},
+        ]
+        cases = list(zip(every_command(tmp_path), configs, [0, 0, 0, 1, 0, 0, 0, 0, 0], strict=True))
+        unit, torsion = write(tmp_path, "p.txt", UNIT), write(tmp_path, "torsion.txt", "gens: 1\nrel r: g1^2\n")
+        cases += [
+            (("normalize", torsion, "--out", t), {"out": t, "moves_out": t + ".bc.json"}, 1),
+            (
+                ("sublinks", unit, "--enumerate", "--cap", "1"),
+                {"fill": None, "enumerate": True, "cap": 1, "probe_limit": None},
+                1,
+            ),
+        ]
+        for argv, config, exit_code in cases:
+            code, out, _ = run(*argv)
+            report = json.loads(out)
+            assert code == exit_code, argv
+            assert set(report) == {"tool", "version", "command", "inputs", "config", "findings", "warnings"}
+            assert (report["tool"], report["version"], report["command"]) == ("asphere", __version__, argv[0])
+            assert report["config"] == {"window": None, **config}, argv
+            read = [argv[1]] + [stages] * (argv[0] == "telescope")
+            assert report["inputs"] == {f: hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in read}, argv
+            assert ("error" in report["findings"]) == (code == 1), argv
 
 
 class TestFootprint:

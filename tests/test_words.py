@@ -236,6 +236,11 @@ class TestNielsenMoves:
         with pytest.raises(ValueError):
             RightMultiply(1, 1)
 
+    @pytest.mark.parametrize("i, j", [(0, 2), (2, 0)])
+    def test_right_multiply_rejects_one_bad_index(self, i, j):
+        with pytest.raises(ValueError, match="generator indices must be >= 1"):
+            RightMultiply(i, j)
+
     @given(words, words)
     def test_moves_are_homomorphisms(self, u, v):
         for move in (Swap(1, 2), Invert(1), RightMultiply(1, 2)):
