@@ -52,10 +52,11 @@ def main() -> None:
     print(f"\nnormalized with {len(cert.base_change)} Nielsen moves "
           f"(exponent_check={cert.exponent_check}):")
     for j, r in enumerate(q.relators, start=1):
-        print(f"  r{j} -> {word_to_text(r)}")
+        print(f"  r{j} -> {word_to_text(r, parsed.gen_names)}")
 
     sc = build_surgery_code(q)
-    print("\nsurgery code:", json.dumps(sc.to_json()))
+    components = [word_to_text(k, parsed.gen_names) for k in sc.components]
+    print("\nsurgery code:", json.dumps({"handles": sc.n_handles, "components": components}))
 
     m = len(sc.components)
     print(f"\nall {2 ** m} sublink exteriors:")

@@ -7,10 +7,12 @@ writes the report: one JSON object on stdout with the keys `tool`,
 check-failed report included.  It is one compact line with sorted keys, as
 `json.dumps(report, sort_keys=True, separators=(",", ":"))` writes it;
 `normalize` writes its base-change log the same way.  Identical inputs and
-flags produce byte-identical findings.
-Exit codes: 0 ok, 1 check failed, 2 parse/usage error, 3 internal
-invariant violation.  Input digests come from the interpreter's built-in
-SHA-256, so no command loads OpenSSL.
+flags produce byte-identical findings.  `homology` reads matrix JSON when
+the file's first non-blank character is `{` or `[`, and a presentation
+otherwise; `ribbon` and `sublinks` write components under the input's
+generator names.  Exit codes: 0 ok, 1 check failed, 2 parse/usage error
+(oversized input included), 3 internal invariant violation.  Input digests
+come from the interpreter's built-in SHA-256, so no command loads OpenSSL.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .presentations import (
     ParseError,
     ParsedPresentation,
     Presentation,
-    WindowMismatch,
     exponent_matrix,
     is_homology_trivial_unit,
     normalize,
@@ -58,7 +59,7 @@ from .presentations import (
     presentation_to_text,
 )
 from .probe import asphericity_verdict
-from .words import BaseChange, Invert, RightMultiply, Swap, word_to_text
+from .words import Invert, RightMultiply, Swap, word_to_text
 
 
 class CheckFailed(Exception):
@@ -97,8 +98,14 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_to_jso
 
 
 def _load_presentation(path: Path, window: int | None, inputs: dict[str, str]) -> ParsedPresentation:
-    parsed = parse_presentation_text(_read(path, inputs))
+    return _windowed(parse_presentation_text(_read(path, inputs)), window)
+
+
+def _windowed(parsed: ParsedPresentation, window: int | None) -> ParsedPresentation:
+    """`parsed` cut to its first `window` generators and the relators on them."""
     if window is not None:
+        if window < 0:
+            raise ValueError("--window must be nonnegative")
         p = parsed.presentation
         n = min(window, p.n_generators)
         keep = [
@@ -114,16 +121,8 @@ def _load_presentation(path: Path, window: int | None, inputs: dict[str, str]) -
     return parsed
 
 
-def _base_change_json(bc: BaseChange) -> dict:
-    moves = []
-    for m in bc.moves:
-        if isinstance(m, Swap):
-            moves.append(["swap", m.i, m.j])
-        elif isinstance(m, Invert):
-            moves.append(["invert", m.i])
-        elif isinstance(m, RightMultiply):
-            moves.append(["rightmult", m.i, m.j])
-    return {"moves": moves}
+# A move's JSON form is its name, then its generator indices: its fields, in order.
+_MOVE_NAMES = {Swap: "swap", Invert: "invert", RightMultiply: "rightmult"}
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +141,6 @@ def cmd_check(args: argparse.Namespace, inputs: dict[str, str], config: dict) ->
     diag = (1,) * (r2 - len(h.h1_torsion)) + h.h1_torsion + (0,) * (min(n, m) - r2)
     unimodular = p.balanced and all(d == 1 for d in diag)
     contractible = h.homologically_contractible
-    try:
-        trivial_unit: bool | None = is_homology_trivial_unit(p)
-    except WindowMismatch:
-        trivial_unit = None
     findings = {
         "generators": p.n_generators,
         "relators": len(p.relators),
@@ -154,7 +149,7 @@ def cmd_check(args: argparse.Namespace, inputs: dict[str, str], config: dict) ->
         "unimodular": unimodular,
         "homology": h,
         "homologically_contractible": contractible,
-        "homology_trivial_unit": trivial_unit,
+        "homology_trivial_unit": is_homology_trivial_unit(p) if p.balanced else None,
     }
     # Over one vertex, H1 = H2 = 0 forces n = m = r2 and a diagonal of ones,
     # so a contractible complex is also balanced and unimodular.
@@ -176,27 +171,25 @@ def cmd_normalize(args: argparse.Namespace, inputs: dict[str, str], config: dict
         raise CheckFailed({"error": "not unimodular", "detail": str(exc), "exponent_snf": list(diag)}, []) from exc
     normalized = Presentation(p.n_generators, cert.new_relators)
     out.write_text(presentation_to_text(normalized, parsed.gen_names, parsed.rel_names))
-    moves_out.write_text(_dumps(_base_change_json(cert.base_change)))
-    findings = {
-        "exponent_check": cert.exponent_check,
-        "moves": len(cert.base_change),
-        "output": str(out),
-        "base_change_log": str(moves_out),
-    }
+    moves = [[_MOVE_NAMES[type(m)], *vars(m).values()] for m in cert.base_change.moves]
+    moves_out.write_text(_dumps({"moves": moves}))
+    findings = {"exponent_check": cert.exponent_check, "moves": len(cert.base_change)}
     return (0 if cert.exponent_check else 3), findings, [TRIVIALITY_WARNING]
 
 
-def _surgery_code_or_fail(p: Presentation):
+def _surgery_code_or_fail(parsed: ParsedPresentation):
+    """The surgery code and its components' texts, under the input's names."""
     try:
-        return build_surgery_code(p)
+        sc = build_surgery_code(parsed.presentation)
     except NotHomologyTrivialUnit as exc:
         findings = {"error": "not a homology-trivial unit-group presentation", "detail": str(exc)}
         raise CheckFailed(findings, [TRIVIALITY_WARNING]) from exc
+    return sc, [word_to_text(k, parsed.gen_names) for k in sc.components]
 
 
 def cmd_ribbon(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
-    p = _load_presentation(Path(args.file), args.window, inputs).presentation
-    return 0, _surgery_code_or_fail(p), [TRIVIALITY_WARNING]
+    sc, texts = _surgery_code_or_fail(_load_presentation(Path(args.file), args.window, inputs))
+    return 0, {"handles": sc.n_handles, "components": texts}, [TRIVIALITY_WARNING]
 
 
 def _selection_report(sc, texts: list[str], homology: list, fill: tuple[int, ...], probe_limit: int | None) -> dict:
@@ -223,8 +216,7 @@ def cmd_sublinks(args: argparse.Namespace, inputs: dict[str, str], config: dict)
     if cap < 0:
         raise ValueError("--cap must be nonnegative")
     config.update(fill=args.fill, enumerate=args.enumerate, cap=cap, probe_limit=args.probe_limit)
-    p = _load_presentation(Path(args.file), args.window, inputs).presentation
-    sc = _surgery_code_or_fail(p)
+    sc, texts = _surgery_code_or_fail(_load_presentation(Path(args.file), args.window, inputs))
     m = len(sc.components)
     if args.enumerate:
         if m > cap:
@@ -238,7 +230,6 @@ def cmd_sublinks(args: argparse.Namespace, inputs: dict[str, str], config: dict)
         fill = frozenset(int(tok) for tok in args.fill.split(",") if tok) if args.fill else frozenset()
         _check_fill(fill, m)
         fills = [tuple(sorted(fill))]
-    texts = [word_to_text(k) for k in sc.components]
     # H1 = Z^(n - |F|): one report per fill size serves every fill of that size.
     homology = [exterior_homology(sc, SublinkSelection(frozenset(range(1, k + 1)))).to_json() for k in range(m + 1)]
     reports = [_selection_report(sc, texts, homology, fill, args.probe_limit) for fill in fills]
@@ -247,15 +238,15 @@ def cmd_sublinks(args: argparse.Namespace, inputs: dict[str, str], config: dict)
 
 
 def cmd_homology(args: argparse.Namespace, inputs: dict[str, str], config: dict) -> tuple[int, object, list[str]]:
-    path = Path(args.file)
-    config["matrix"] = args.matrix
-    if args.matrix:
+    text = _read(Path(args.file), inputs)
+    # No presentation line starts with `{` or `[`, so such a file is matrix JSON.
+    if text.lstrip()[:1] in ("{", "["):
         if args.window is not None:
-            raise ValueError("--window applies to presentations, not to --matrix input")
-        m = SparseIntMatrix.from_json(json.loads(_read(path, inputs)))
+            raise ValueError("--window applies to presentations, not to matrix input")
+        m = SparseIntMatrix.from_json(json.loads(text))
         diag, _, _ = smith_normal_form(m)
         return 0, {"rows": m.rows, "cols": m.cols, "snf": list(diag)}, []
-    p = _load_presentation(path, args.window, inputs).presentation
+    p = _windowed(parse_presentation_text(text), args.window).presentation
     return 0, homology(from_presentation(p)), []
 
 
@@ -317,43 +308,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, default=None, help="truncation window for streamed presentations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("check", help="hypothesis checks for a presentation file")
-    s.add_argument("file")
-    s.set_defaults(func=cmd_check)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        s = sub.add_parser(name, help=summary)
+        s.add_argument("file")
+        s.set_defaults(func=func)
+        return s
 
-    s = sub.add_parser("normalize", help="rewrite to identity exponent matrix")
-    s.add_argument("file")
+    command("check", cmd_check, "hypothesis checks for a presentation file")
+
+    s = command("normalize", cmd_normalize, "rewrite to identity exponent matrix")
     s.add_argument("--out", required=True, help="normalized presentation file")
     s.add_argument("--moves-out", default=None, help="base-change log file (JSON)")
-    s.set_defaults(func=cmd_normalize)
 
-    s = sub.add_parser("ribbon", help="emit the surgery code of a presentation")
-    s.add_argument("file")
-    s.set_defaults(func=cmd_ribbon)
+    command("ribbon", cmd_ribbon, "emit the surgery code of a presentation")
 
-    s = sub.add_parser("sublinks", help="fill sublinks and report exteriors")
-    s.add_argument("file")
+    s = command("sublinks", cmd_sublinks, "fill sublinks and report exteriors")
     g = s.add_mutually_exclusive_group()
     g.add_argument("--fill", default=None, help="comma-separated component indices")
     g.add_argument("--enumerate", action="store_true", help="walk all 2^m selections")
     s.add_argument("--cap", type=int, default=None, help="enumeration cap on components (default 12)")
     s.add_argument("--probe-limit", type=int, default=None, help="also probe each exterior")
-    s.set_defaults(func=cmd_sublinks)
 
-    s = sub.add_parser("homology", help="homology of a presentation complex")
-    s.add_argument("file")
-    s.add_argument("--matrix", action="store_true", help="input is matrix JSON; report its SNF")
-    s.set_defaults(func=cmd_homology)
+    command("homology", cmd_homology, "homology of a presentation complex, or the SNF of matrix JSON")
 
-    s = sub.add_parser("telescope", help="collar telescope over a filtration")
-    s.add_argument("file")
+    s = command("telescope", cmd_telescope, "collar telescope over a filtration")
     s.add_argument("--stages", required=True, help="JSON list of {gens, rels} stages")
-    s.set_defaults(func=cmd_telescope)
 
-    s = sub.add_parser("pi2probe", help="asphericity falsification probe")
-    s.add_argument("file")
+    s = command("pi2probe", cmd_pi2probe, "asphericity falsification probe")
     s.add_argument("--limit", type=int, default=256, help="coset limit")
-    s.set_defaults(func=cmd_pi2probe)
 
     return parser
 

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 
+MAX_JSON_SIDE = 10_000  # the most rows, and the most cols, matrix JSON may declare
+
+
 class IndexOutOfWindow(ValueError):
     """An entry or an elementary operation lies outside the window."""
 
@@ -102,12 +105,15 @@ class SparseIntMatrix:
     @classmethod
     def from_json(cls, obj: object) -> "SparseIntMatrix":
         """Read the JSON form; ValueError on any other shape, on a value that
-        is not an integer (bools included), or on a repeated entry."""
+        is not an integer (bools included), on a side past MAX_JSON_SIDE or
+        on a repeated entry."""
         if not (isinstance(obj, dict) and {"rows", "cols", "entries"} <= obj.keys()):
             raise ValueError('matrix JSON must be an object with "rows", "cols" and "entries"')
         rows, cols, items = obj["rows"], obj["cols"], obj["entries"]
         if type(rows) is not int or type(cols) is not int:
             raise ValueError("matrix rows and cols must be integers")
+        if max(rows, cols) > MAX_JSON_SIDE:
+            raise ValueError(f"matrix rows and cols must be at most {MAX_JSON_SIDE}")
         if not isinstance(items, list):
             raise ValueError("matrix entries must be a list")
         entries: dict[tuple[int, int], int] = {}

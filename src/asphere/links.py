@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .complexes import HomologyReport, SubcomplexSpec
 from .presentations import Presentation
-from .words import Word, word_to_text
+from .words import Word
 
 
 class NotHomologyTrivialUnit(Exception):
@@ -55,12 +55,6 @@ class SurgeryCode:
                         f"component {j} has intersection number "
                         f"{sums.get(i, 0)} with handle {i}, expected {want}"
                     )
-
-    def to_json(self) -> dict:
-        return {
-            "handles": self.n_handles,
-            "components": [word_to_text(k) for k in self.components],
-        }
 
 
 @dataclass(frozen=True)

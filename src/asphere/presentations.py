@@ -207,6 +207,7 @@ class ParsedPresentation:
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+MAX_GENERATORS = 10_000  # on a gens: line; `words.MAX_LETTERS` bounds the letters
 
 
 def parse_presentation_text(text: str) -> ParsedPresentation:
@@ -216,6 +217,7 @@ def parse_presentation_text(text: str) -> ParsedPresentation:
     rel_names: list[str] = []
     names_map: dict[str, int] | None = None
     runs: dict[str, list[int]] = {"1": []}  # each distinct token is parsed once
+    letters = 0
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
@@ -241,6 +243,8 @@ def parse_presentation_text(text: str) -> ParsedPresentation:
                 gen_names = tuple(tokens)
                 n_generators = len(tokens)
                 names_map = {name: i for i, name in enumerate(tokens, start=1)}
+            if n_generators > MAX_GENERATORS:
+                raise ParseError(f"more than {MAX_GENERATORS} generators", lineno, indent)
         elif stripped.startswith("rel"):
             if n_generators is None:
                 raise ParseError("rel before gens: line", lineno, indent)
@@ -250,7 +254,7 @@ def parse_presentation_text(text: str) -> ParsedPresentation:
             name, word_text = m.group(1), m.group(2)
             word_start = indent - 1 + m.start(2)  # 0-based, in `line`
             try:
-                word = _parse_word(word_text, names_map, runs)
+                word, letters = _parse_word(word_text, names_map, runs, letters)
             except WordSyntaxError as exc:
                 raise ParseError(str(exc), lineno, word_start + exc.col) from exc
             if word.max_index() > n_generators:

@@ -100,6 +100,8 @@ class Word:
 # `g<k>^<int>`; the empty word is spelled `1`.  Generator aliases may replace
 # the default `g<k>` names.
 
+MAX_LETTERS = 1_000_000  # in one presentation, or one parsed word, once powers expand
+
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
 _DEFAULT_NAME_RE = re.compile(r"^g([1-9][0-9]*)$")
 
@@ -112,7 +114,8 @@ class WordSyntaxError(ValueError):
         self.col = col
 
 
-def _token_letters(token: str, names: dict[str, int] | None, col: int) -> list[int]:
+def _token_letters(token: str, names: dict[str, int] | None, col: int, room: int) -> list[int]:
+    """A token's letters; a power of more than `room` raises unexpanded."""
     tm = _TOKEN_RE.match(token)
     if tm is None:
         raise WordSyntaxError(f"malformed word token {token!r}", col)
@@ -127,18 +130,25 @@ def _token_letters(token: str, names: dict[str, int] | None, col: int) -> list[i
         if dm is None:
             raise WordSyntaxError(f"unknown generator {base!r}", col)
         index = int(dm.group(1))
+    if abs(exponent) > room:
+        raise WordSyntaxError(f"more than {MAX_LETTERS} letters after expanding powers", col)
     return [index if exponent > 0 else -index] * abs(exponent)
 
 
-def _parse_word(text: str, names: dict[str, int] | None, runs: dict[str, list[int]]) -> Word:
-    """`parse_word` with a token memo `runs` that words with one `names` share."""
+def _parse_word(text: str, names: dict[str, int] | None, runs: dict[str, list[int]], used: int = 0) -> tuple[Word, int]:
+    """`parse_word` with a token memo `runs` that words with one `names`
+    share, after `used` letters of earlier words; returns the word and the
+    running count, which must stay within MAX_LETTERS."""
+    room = MAX_LETTERS - used
     letters: list[int] = []
     for m in re.finditer(r"\S+", text):
         token = m.group(0)
-        if token not in runs:
-            runs[token] = _token_letters(token, names, m.start() + 1)
-        letters += runs[token]
-    return Word(tuple(letters))
+        run = runs.get(token)
+        if run is None or len(run) > room:  # a memo run past the room raises here
+            run = runs[token] = _token_letters(token, names, m.start() + 1, room)
+        room -= len(run)
+        letters += run
+    return Word(tuple(letters)), MAX_LETTERS - room
 
 
 def parse_word(text: str, names: dict[str, int] | None = None) -> Word:
@@ -147,7 +157,7 @@ def parse_word(text: str, names: dict[str, int] | None = None) -> Word:
     `names` maps generator aliases to indices; without it tokens must use
     the default `g<k>` spelling.
     """
-    return _parse_word(text, names, {"1": []})
+    return _parse_word(text, names, {"1": []})[0]
 
 
 def word_to_text(w: Word, names: Sequence[str] | None = None) -> str:

@@ -303,7 +303,7 @@ def test_cli_determinism(tmp_path, capfd):
             ["ribbon", str(pres)],
             ["sublinks", str(pres), "--enumerate", "--probe-limit", "32"],
             ["homology", str(pres)],
-            ["homology", str(matrix), "--matrix"],
+            ["homology", str(matrix)],
             ["telescope", str(pres), "--stages", str(stages)],
             ["pi2probe", str(pres), "--limit", "32"],
         ]

@@ -19,7 +19,7 @@ from asphere import Presentation, __version__, probe
 from asphere.cli import _dumps, _load_presentation, build_parser, main
 from asphere.complexes import HomologyReport
 from asphere.links import SublinkSelection, exterior, exterior_homology
-from asphere.presentations import exponent_matrix, parse_presentation_text, presentation_to_text
+from asphere.presentations import exponent_matrix, normalize, parse_presentation_text, presentation_to_text
 from asphere.probe import Verdict, asphericity_verdict
 from asphere.words import parse_word, word_to_text
 
@@ -106,15 +106,25 @@ class TestCheck:
         ids=["torsion", "torus", "torsion-and-h2"],
     )
     def test_exponent_snf_is_the_smith_form_of_the_exponent_matrix(self, run, tmp_path, text, snf, h2):
-        # `check` reads the Smith diagonal off the homology; `homology
-        # --matrix` computes it from the exponent matrix itself.
+        # `check` reads the Smith diagonal off the homology; `homology` on
+        # matrix JSON computes it from the exponent matrix itself.
         code, out, _ = run("check", write(tmp_path, "p.txt", text))
         findings = json.loads(out)["findings"]
         assert (code, findings["exponent_snf"], findings["homology"]["H2"]) == (1, snf, h2)
         matrix = exponent_matrix(parse_presentation_text(text).presentation).to_json()
-        code, out, _ = run("homology", write(tmp_path, "m.json", json.dumps(matrix)), "--matrix")
+        code, out, _ = run("homology", write(tmp_path, "m.json", json.dumps(matrix)))
         assert code == 0
         assert json.loads(out)["findings"]["snf"] == snf
+
+    @pytest.mark.parametrize(
+        "text, unit",
+        [(UNIT, True), (SCRAMBLED, False), ("gens: 2\nrel r: g1\n", None), ("gens: 1\nrel a: g1\nrel b: g1\n", None)],
+        ids=["unit", "scrambled", "too-few-relators", "too-many-relators"],
+    )
+    def test_homology_trivial_unit_is_null_exactly_when_unbalanced(self, run, tmp_path, text, unit):
+        _, out, _ = run("check", write(tmp_path, "p.txt", text))
+        findings = json.loads(out)["findings"]
+        assert (findings["balanced"], findings["homology_trivial_unit"]) == (unit is not None, unit)
 
     def test_missing_file_exit_2(self, run, tmp_path):
         code, _, err = run("check", str(tmp_path / "absent.txt"))
@@ -210,7 +220,8 @@ class TestRibbon:
         report = json.loads(out)
         assert code == 0
         assert report["findings"]["handles"] == 2
-        assert len(report["findings"]["components"]) == 2
+        # A numbered input keeps the default names.
+        assert report["findings"]["components"] == ["g1 g2 g1^-1 g2^-1 g1", "g2 g1 g2 g1^-1 g2^-1"]
 
     def test_rejects_non_unit_presentation(self, run, tmp_path):
         f = write(tmp_path, "p.txt", SCRAMBLED)
@@ -461,7 +472,7 @@ class TestHomology:
     def test_matrix_snf(self, run, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[1, 1, 2], [2, 2, 3]]}))
-        code, out, _ = run("homology", str(f), "--matrix")
+        code, out, _ = run("homology", str(f))
         findings = json.loads(out)["findings"]
         assert code == 0
         assert findings["snf"] == [1, 6]
@@ -469,15 +480,38 @@ class TestHomology:
     def test_window_with_matrix_exit_2(self, run, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps({"rows": 1, "cols": 1, "entries": [[1, 1, 2]]}))
-        code, out, err = run("--window", "1", "homology", str(f), "--matrix")
+        code, out, err = run("--window", "1", "homology", str(f))
         assert (code, out) == (2, "")
         assert "--window" in err
 
     def test_bad_matrix_json_exit_2(self, run, tmp_path):
         f = tmp_path / "m.json"
         f.write_text("{not json")
-        code, _, err = run("homology", str(f), "--matrix")
+        code, _, err = run("homology", str(f))
         assert code == 2
+
+    def test_input_kind_is_read_off_the_first_nonblank_character(self, run, tmp_path):
+        matrix = write(tmp_path, "m.txt", '\n  \n\t{"rows": 2, "cols": 2, "entries": [[1, 1, 2], [2, 2, 3]]}')
+        code, out, _ = run("homology", matrix)
+        assert (code, json.loads(out)["findings"]) == (0, {"rows": 2, "cols": 2, "snf": [1, 6]})
+        presentation = write(tmp_path, "p.json", '# {"rows": 1} [1]\n\ngens: 2\nrel r: g1 g2 g1^-1 g2^-1\n')
+        code, out, _ = run("homology", presentation)
+        assert (code, json.loads(out)["findings"]["H2"]) == (0, 1)
+        code, out, err = run("homology", write(tmp_path, "l.json", "[1, 2]"))
+        assert (code, out) == (2, "")
+        assert err == 'error: matrix JSON must be an object with "rows", "cols" and "entries"\n'
+
+    def test_one_read_of_each_input(self, run, tmp_path, monkeypatch):
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(str(path)) or read_bytes(path))
+        for name, text in [("m.json", '{"rows": 1, "cols": 1, "entries": [[1, 1, 4]]}'), ("p.txt", DISK)]:
+            f = write(tmp_path, name, text)
+            code, out, _ = run("homology", f)
+            report = json.loads(out)
+            assert (code, report["config"]) == (0, {"window": None})
+            assert report["inputs"] == {f: hashlib.sha256(text.encode()).hexdigest()}
+            assert reads.pop() == f and not reads
 
     @pytest.mark.parametrize(
         "matrix",
@@ -495,9 +529,64 @@ class TestHomology:
     def test_malformed_matrix_exit_2(self, run, tmp_path, matrix):
         f = tmp_path / "m.json"
         f.write_text(json.dumps(matrix))
-        code, out, err = run("homology", str(f), "--matrix")
+        code, out, err = run("homology", str(f))
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+
+class TestIntakeBounds:
+    # Inputs one past each bound, small enough to run were the bound gone.
+    # The ten-digit sizes that once ran out of memory (exit 3) are parsed by
+    # the unit tests of words, presentations and intmat, which allocate
+    # nothing for them.
+    @pytest.mark.parametrize(
+        "argv, name, text, error",
+        [
+            (["check"], "p.txt", "gens: 10001\n", "parse error: line 1, col 1: more than 10000 generators"),
+            (
+                ["check"],
+                "p.txt",
+                "gens: 1\nrel r: g1^1000001\n",
+                "parse error: line 2, col 8: more than 1000000 letters after expanding powers",
+            ),
+            (
+                ["homology"],
+                "m.json",
+                '{"rows": 10001, "cols": 1, "entries": [[1,1,1]]}',
+                "error: matrix rows and cols must be at most 10000",
+            ),
+            (["--window", "-1", "check"], "p.txt", UNIT, "error: --window must be nonnegative"),
+            (["--window", "-1", "homology"], "p.txt", UNIT, "error: --window must be nonnegative"),
+        ],
+        ids=["generators", "letters", "matrix-side", "negative-window", "negative-window-homology"],
+    )
+    def test_oversized_or_negative_input_exits_2_naming_its_bound(self, run, tmp_path, argv, name, text, error):
+        assert run(*argv, write(tmp_path, name, text)) == (2, "", error + "\n")
+
+
+class TestNamedFlow:
+    # AK(3) = <x, y | x^3 y^-4, x y x y^-1 x^-1 y^-1>, with exponent matrix
+    # [[3, 1], [-4, -1]] of determinant 1.
+    AK3 = "gens: x y\nrel r1: x^3 y^-4\nrel r2: x y x y^-1 x^-1 y^-1\n"
+
+    def test_components_keep_the_input_names(self, run, tmp_path):
+        code, out, _ = run("check", write(tmp_path, "ak3.txt", self.AK3))
+        findings = json.loads(out)["findings"]
+        assert (code, findings["unimodular"], findings["homology_trivial_unit"]) == (0, True, False)
+        norm = str(tmp_path / "ak3.norm.txt")
+        code, _, _ = run("normalize", str(tmp_path / "ak3.txt"), "--out", norm)
+        assert code == 0
+        text = Path(norm).read_text()
+        assert text.startswith("gens: x y\n")
+        relators = [line.split(": ", 1)[1] for line in text.splitlines()[1:]]
+        cert = normalize(parse_presentation_text(self.AK3).presentation)
+        assert [parse_word(r, {"x": 1, "y": 2}) for r in relators] == list(cert.new_relators)
+        code, out, _ = run("ribbon", norm)
+        assert (code, json.loads(out)["findings"]) == (0, {"handles": 2, "components": relators})
+        code, out, _ = run("sublinks", norm, "--enumerate")
+        assert code == 0
+        for sel in json.loads(out)["findings"]["selections"]:
+            assert sel["exterior"]["relators"] == [relators[j - 1] for j in sel["fill"]]
 
 
 class TestTelescope:
@@ -663,11 +752,11 @@ class TestUsage:
             "normalize": {"--moves-out": None, "--out": None},
             "ribbon": {},
             "sublinks": {"--cap": None, "--enumerate": False, "--fill": None, "--probe-limit": None},
-            "homology": {"--matrix": False},
+            "homology": {},
             "telescope": {"--stages": None},
             "pi2probe": {"--limit": 256},
         }
-        assert sum(map(len, census.values())) == 10
+        assert sum(map(len, census.values())) == 9
         code, out, _ = run("pi2probe", write(tmp_path, "p.txt", DISK))
         assert code == 0
         assert json.loads(out)["config"] == {"window": None, "limit": 256}
@@ -679,8 +768,9 @@ class TestUsage:
             # the value then stands where the command belongs
             (["--seed", "1", "check", "{f}"], "argument command: invalid choice: '1'"),
             (["sublinks", "{f}", "--enumerate", "--force"], "unrecognized arguments: --force"),
+            (["homology", "{f}", "--matrix"], "unrecognized arguments: --matrix"),
         ],
-        ids=["seed=1", "seed_1", "force"],
+        ids=["seed=1", "seed_1", "force", "matrix"],
     )
     def test_removed_options_are_usage_errors(self, run, tmp_path, capsys, argv, error):
         f = write(tmp_path, "p.txt", UNIT)
@@ -706,7 +796,7 @@ def every_command(tmp_path):
         ("ribbon", scrambled),
         ("sublinks", f, "--enumerate", "--probe-limit", "32"),
         ("homology", f),
-        ("homology", str(matrix), "--matrix"),
+        ("homology", str(matrix)),
         ("telescope", f, "--stages", str(stages)),
         ("pi2probe", f, "--limit", "32"),
     ]
@@ -742,8 +832,8 @@ class TestEnvelope:
             {},
             {},
             {"fill": None, "enumerate": True, "cap": 12, "probe_limit": 32},
-            {"matrix": False},
-            {"matrix": True},
+            {},
+            {},
             {"stages": stages},
             {"limit": 32},
         ]

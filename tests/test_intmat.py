@@ -20,7 +20,7 @@ from asphere import (
     reduce_to_identity,
     smith_normal_form,
 )
-from asphere.intmat import IndexOutOfWindow, mat_vec, rank
+from asphere.intmat import MAX_JSON_SIDE, IndexOutOfWindow, mat_vec, rank
 
 from support import (
     random_non_unimodular,
@@ -82,6 +82,13 @@ class TestSparseMatrix:
         assert m.to_rows() == [[0, 2], [-1, 0], [0, 0]]
         assert SparseIntMatrix.from_json(m.to_json()) == m
         assert m.transpose().transpose() == m
+
+    def test_json_side_bound(self):
+        side = {"rows": MAX_JSON_SIDE, "cols": MAX_JSON_SIDE, "entries": []}
+        assert SparseIntMatrix.from_json(side) == SparseIntMatrix.zeros(MAX_JSON_SIDE, MAX_JSON_SIDE)
+        for rows, cols in ((MAX_JSON_SIDE + 1, 1), (1, MAX_JSON_SIDE + 1), (10**8, 10**8)):
+            with pytest.raises(ValueError, match=f"at most {MAX_JSON_SIDE}"):
+                SparseIntMatrix.from_json({"rows": rows, "cols": cols, "entries": [[1, 1, 1]]})
 
     def test_zero_entries_dropped(self):
         m = SparseIntMatrix(2, 2, {(1, 1): 0, (2, 2): 5})

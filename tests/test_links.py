@@ -87,10 +87,6 @@ class TestSurgeryCode:
         with pytest.raises(ValueError, match=r"^component 1 touches a missing handle$"):
             SurgeryCode(1, (w,))
 
-    def test_to_json(self):
-        sc = SurgeryCode(1, (parse_word("g1"),))
-        assert sc.to_json() == {"handles": 1, "components": ["g1"]}
-
 
 class TestBuildSurgeryCode:
     def test_components_are_relators_verbatim(self):

@@ -24,6 +24,7 @@ from asphere import (
     subpresentation,
 )
 from asphere.presentations import (
+    MAX_GENERATORS,
     exponent_vector,
     lift_row_ops,
     presentation_to_text,
@@ -270,6 +271,24 @@ class TestTextFormat:
             parse_presentation_text("gens: 2\nrel a: g1 g2\nrel b: g2  g3 g1\n")
         assert (exc.value.line, exc.value.col) == (3, 8)
         assert exc.value.message == "relator uses generator g3 beyond window"
+
+    def test_generator_bound(self):
+        names = " ".join(f"a{i}" for i in range(MAX_GENERATORS))
+        assert parse_presentation_text(f"gens: {MAX_GENERATORS}\n").presentation.n_generators == MAX_GENERATORS
+        assert parse_presentation_text(f"gens: {names}\n").presentation.n_generators == MAX_GENERATORS
+        for text in (f"gens: {MAX_GENERATORS + 1}\n", f"gens: {names} b\n", "# big\n gens: 10000000000\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_presentation_text(text)
+            assert exc.value.message == f"more than {MAX_GENERATORS} generators"
+            assert exc.value.line == text.count("\n", 0, text.index("gens")) + 1
+
+    def test_letter_bound_counts_every_relator(self, monkeypatch):
+        monkeypatch.setattr("asphere.words.MAX_LETTERS", 6)
+        assert len(parse_presentation_text("gens: 2\nrel a: g1^3\nrel b: g1^-3\nrel c: 1\n").presentation.relators) == 3
+        with pytest.raises(ParseError) as exc:
+            parse_presentation_text("gens: 2\nrel a: g1^3 g2\nrel b: g2 g1^3\n")
+        assert (exc.value.line, exc.value.col) == (3, 11)
+        assert exc.value.message == "more than 6 letters after expanding powers"
 
     def test_unrecognized_line(self):
         with pytest.raises(ParseError):

@@ -38,7 +38,7 @@ def test_pipeline_demo_runs():
 # Python 3.11.  A change that alters a report on purpose updates its pin and
 # says so.
 REPORT_DIGESTS_AT_SEED_1 = {
-    "pipeline": "7a3aff52952624e3ec27bcecf1c4b5a2dbe8dce8a6df0471b3d4e3016f8d1bc3",
+    "pipeline": "dff62d5b456ab8359856f83704b6f543400321f921d63cbd5ef24b7a116be5e4",
     "probe-finite": "26f28811e28eb1af0ac8554585712b2a03a260f5dc9ba7cdaebebf531165463f",
     "sublinks-walk": "c70a08c424aa8e9b1b033fb843ada0f6f0b62939dc8969ac7750cab952fad2c3",
 }
@@ -52,7 +52,7 @@ def test_report_digest_is_pinned(workload):
 
 
 REPORT_DIGESTS_AT_SEED_2 = {
-    "pipeline": "675dd69973f70f9fbb7723f69b9d4fc56079752af8031c12e81398d4c82b9cd7",
+    "pipeline": "a3079579f892bb7805afa8bd6d357679e96f1be2b1bd4ccff757fcc2a92d926d",
     "probe-finite": "c86a6abc8224fd8b754aacc5ae5e174011692da5f84375b43ba7e5606699e216",
     "sublinks-walk": "0596db35fb6c7612c65a170d14f55789d24f85d6a62e4d27b102132f84c3ac2b",
 }

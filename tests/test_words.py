@@ -17,7 +17,7 @@ from asphere import (
     parse_word,
     word_to_text,
 )
-from asphere.words import WordSyntaxError, move_inverse
+from asphere.words import MAX_LETTERS, WordSyntaxError, move_inverse
 
 from support import random_base_change, random_letters, random_word, replay_moves
 
@@ -200,6 +200,23 @@ class TestTextSyntax:
         with pytest.raises(WordSyntaxError) as exc:
             parse_word("g1 g2^")
         assert exc.value.col == 4
+
+    def test_power_past_the_letter_bound_raises_before_expanding(self):
+        # A list of 10^11 letters would not fit in memory: the bound is
+        # checked on the exponent.
+        for text in (f"g1^{MAX_LETTERS + 1}", "g1^99999999999", "g2 g1^-99999999999"):
+            with pytest.raises(WordSyntaxError, match=f"more than {MAX_LETTERS} letters") as exc:
+                parse_word(text)
+            assert exc.value.col == text.index("g1") + 1
+
+    def test_letter_bound_is_a_running_count(self, monkeypatch):
+        monkeypatch.setattr("asphere.words.MAX_LETTERS", 5)
+        assert len(parse_word("g1^2 g2^-3")) == 5
+        # A memoized token counts again at each use.
+        for text in ("g1^2 g2^-3 g1", "g1^3 g1^3", "g1 g2 g1 g2 g1 g2"):
+            with pytest.raises(WordSyntaxError, match="more than 5 letters") as exc:
+                parse_word(text)
+            assert exc.value.col == text.rindex("g") + 1
 
     def test_render_runs(self):
         assert word_to_text(W([(1, 1), (1, 1), (2, -1)])) == "g1^2 g2^-1"
