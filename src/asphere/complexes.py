@@ -3,15 +3,13 @@ the subcomplex lattice, and the collar telescope over a finite filtration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .intmat import SparseIntMatrix, rank, smith_normal_form
 from .presentations import Presentation, _check_closed, exponent_matrix, subpresentation
 from .words import Word
 
 
-@dataclass(frozen=True)
-class TwoComplex:
+class TwoComplex(Record):
     """Vertices 1..n, oriented edges, and 2-cells given by attaching words.
 
     Attaching-word letters index edges; each nonempty word must trace a
@@ -19,23 +17,21 @@ class TwoComplex:
     generator, and one face per relator.
     """
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    faces: tuple[Word, ...] = ()
+    __match_args__ = ("n_vertices", "edges", "faces")
 
-    def __post_init__(self) -> None:
-        if self.n_vertices < 1:
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...], faces: tuple[Word, ...] = ()) -> None:
+        if n_vertices < 1:
             raise ValueError("a complex needs at least one vertex")
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        object.__setattr__(self, "faces", tuple(self.faces))
-        for s, t in self.edges:
-            if not (1 <= s <= self.n_vertices and 1 <= t <= self.n_vertices):
+        edges, faces = tuple(tuple(e) for e in edges), tuple(faces)
+        self.__dict__.update(n_vertices=n_vertices, edges=edges, faces=faces)
+        for s, t in edges:
+            if not (1 <= s <= n_vertices and 1 <= t <= n_vertices):
                 raise ValueError(f"edge ({s},{t}) references a missing vertex")
-        for k, w in enumerate(self.faces, start=1):
-            if w.max_index() > len(self.edges):
+        for k, w in enumerate(faces, start=1):
+            if w.max_index() > len(edges):
                 raise ValueError(f"face {k} references a missing edge")
             # With one vertex every edge is a loop, so every word is closed.
-            if self.n_vertices > 1:
+            if n_vertices > 1:
                 self._check_closed_path(k, w)
 
     def _check_closed_path(self, k: int, w: Word) -> None:
@@ -75,13 +71,11 @@ def chain_complex(c: TwoComplex) -> tuple[SparseIntMatrix, SparseIntMatrix]:
     return d2, d1
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    h0: int
-    h1_rank: int
-    h1_torsion: tuple[int, ...]
-    h2: int
-    chi: int
+class HomologyReport(Record):
+    __match_args__ = ("h0", "h1_rank", "h1_torsion", "h2", "chi")
+
+    def __init__(self, h0: int, h1_rank: int, h1_torsion: tuple[int, ...], h2: int, chi: int) -> None:
+        self.__dict__.update(h0=h0, h1_rank=h1_rank, h1_torsion=h1_torsion, h2=h2, chi=chi)
 
     @property
     def homologically_contractible(self) -> bool:
@@ -120,24 +114,20 @@ def is_homologically_contractible(c: TwoComplex) -> bool:
 # Subcomplexes of a presentation complex, as generator/relator selections.
 
 
-@dataclass(frozen=True)
-class SubcomplexSpec:
+class SubcomplexSpec(Record):
     """Generator and relator index sets inside an ambient presentation."""
 
-    gens: frozenset[int]
-    rels: frozenset[int]
-    ambient_gens: int
-    ambient_rels: int
+    __match_args__ = ("gens", "rels", "ambient_gens", "ambient_rels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gens", frozenset(self.gens))
-        object.__setattr__(self, "rels", frozenset(self.rels))
-        for i in self.gens:
-            if not 1 <= i <= self.ambient_gens:
+    def __init__(self, gens: frozenset[int], rels: frozenset[int], ambient_gens: int, ambient_rels: int) -> None:
+        gens, rels = frozenset(gens), frozenset(rels)
+        for i in gens:
+            if not 1 <= i <= ambient_gens:
                 raise ValueError(f"generator index {i} outside ambient window")
-        for j in self.rels:
-            if not 1 <= j <= self.ambient_rels:
+        for j in rels:
+            if not 1 <= j <= ambient_rels:
                 raise ValueError(f"relator index {j} outside ambient window")
+        self.__dict__.update(gens=gens, rels=rels, ambient_gens=ambient_gens, ambient_rels=ambient_rels)
 
     @property
     def is_1_full(self) -> bool:
@@ -145,19 +135,13 @@ class SubcomplexSpec:
 
 
 def full_spec(p: Presentation) -> SubcomplexSpec:
-    return SubcomplexSpec(
-        frozenset(range(1, p.n_generators + 1)),
-        frozenset(range(1, len(p.relators) + 1)),
-        p.n_generators,
-        len(p.relators),
-    )
+    n, m = p.n_generators, len(p.relators)
+    return SubcomplexSpec(range(1, n + 1), range(1, m + 1), n, m)
 
 
 def onefull_hull(s: SubcomplexSpec) -> SubcomplexSpec:
     """Extend the generator set to the whole 1-skeleton, keeping relators."""
-    return SubcomplexSpec(
-        frozenset(range(1, s.ambient_gens + 1)), s.rels, s.ambient_gens, s.ambient_rels
-    )
+    return SubcomplexSpec(range(1, s.ambient_gens + 1), s.rels, s.ambient_gens, s.ambient_rels)
 
 
 def subcomplex_presentation(p: Presentation, s: SubcomplexSpec) -> Presentation:
@@ -177,31 +161,28 @@ def subcomplex_complex(p: Presentation, s: SubcomplexSpec) -> TwoComplex:
 # joins the previous gluing copy to the fresh one.
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Record):
     """Increasing chain of subcomplexes of a presentation complex, ending
     at the whole complex.  A stage whose relators use a generator outside
     it raises DanglingRelator, checked on the index sets alone."""
 
-    base: Presentation
-    stages: tuple[SubcomplexSpec, ...]
+    __match_args__ = ("base", "stages")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if not self.stages:
+    def __init__(self, base: Presentation, stages: tuple[SubcomplexSpec, ...]) -> None:
+        stages = tuple(stages)
+        if not stages:
             raise ValueError("a filtration needs at least one stage")
-        for s in self.stages:
-            if s.ambient_gens != self.base.n_generators or s.ambient_rels != len(
-                self.base.relators
-            ):
+        for s in stages:
+            if s.ambient_gens != base.n_generators or s.ambient_rels != len(base.relators):
                 raise ValueError("stage ambient window does not match the base")
-            _check_closed(self.base, s.gens, s.rels)
-        for prev, cur in zip(self.stages, self.stages[1:]):
+            _check_closed(base, s.gens, s.rels)
+        for prev, cur in zip(stages, stages[1:]):
             if not (prev.gens <= cur.gens and prev.rels <= cur.rels):
                 raise ValueError("filtration stages must be increasing")
-        final = self.stages[-1]
-        if not (final.is_1_full and len(final.rels) == len(self.base.relators)):
+        final = stages[-1]
+        if not (final.is_1_full and len(final.rels) == len(base.relators)):
             raise ValueError("the final stage must be the whole complex")
+        self.__dict__.update(base=base, stages=stages)
 
 
 def telescope(f: Filtration) -> TwoComplex:

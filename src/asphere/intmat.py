@@ -19,8 +19,9 @@ Entry and operation indices are 1-based, matching the matrix JSON form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
+
+from ._record import Record
 
 
 MAX_JSON_SIDE = 10_000  # the most rows, and the most cols, matrix JSON may declare
@@ -34,27 +35,24 @@ class NotUnimodular(Exception):
     """The window matrix is not invertible over the integers."""
 
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
+class SparseIntMatrix(Record):
     """Row- and column-finite integer matrix on a finite window.
 
     `entries` maps (row, col) to a nonzero integer; no zeros are stored.
     """
 
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], int]
+    __match_args__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("window bounds must be nonnegative")
         clean: dict[tuple[int, int], int] = {}
-        for (i, j), v in self.entries.items():
-            if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-                raise IndexOutOfWindow(f"entry ({i},{j}) outside {self.rows}x{self.cols} window")
+        for (i, j), v in entries.items():
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise IndexOutOfWindow(f"entry ({i},{j}) outside {rows}x{cols} window")
             if v != 0:
                 clean[(i, j)] = int(v)
-        object.__setattr__(self, "entries", clean)
+        self.__dict__.update(rows=rows, cols=cols, entries=clean)
 
     @classmethod
     def from_rows(cls, rowdata: Sequence[Sequence[int]], cols: int | None = None) -> "SparseIntMatrix":
@@ -145,38 +143,41 @@ def mat_vec(m: SparseIntMatrix, vec: Sequence[int]) -> list[int]:
 # apply_row_ops) and column operations (via apply_col_ops).
 
 
-@dataclass(frozen=True)
-class SwapRows:
-    i: int
-    j: int
+class SwapRows(Record):
+    __match_args__ = ("i", "j")
+
+    def __init__(self, i: int, j: int) -> None:
+        self.__dict__.update(i=i, j=j)
 
 
-@dataclass(frozen=True)
-class NegateRow:
-    i: int
+class NegateRow(Record):
+    __match_args__ = ("i",)
+
+    def __init__(self, i: int) -> None:
+        self.__dict__["i"] = i
 
 
-@dataclass(frozen=True)
-class AddMultiple:
+class AddMultiple(Record):
     """row[target] += coeff * row[source]; target != source."""
 
-    target: int
-    source: int
-    coeff: int
+    __match_args__ = ("target", "source", "coeff")
 
-    def __post_init__(self) -> None:
-        if self.target == self.source:
+    def __init__(self, target: int, source: int, coeff: int) -> None:
+        if target == source:
             raise ValueError("AddMultiple requires distinct target and source")
+        self.__dict__.update(target=target, source=source, coeff=coeff)
 
 
 ElementaryOp = Union[SwapRows, NegateRow, AddMultiple]
 
 
-@dataclass(frozen=True)
-class RowOpLog:
+class RowOpLog(Record):
     """A replayable finite sequence of elementary operations."""
 
-    ops: tuple[ElementaryOp, ...] = ()
+    __match_args__ = ("ops",)
+
+    def __init__(self, ops: tuple[ElementaryOp, ...] = ()) -> None:
+        self.__dict__["ops"] = ops
 
     def inverse(self) -> "RowOpLog":
         inv: list[ElementaryOp] = []

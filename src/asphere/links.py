@@ -12,8 +12,7 @@ make its second boundary map the identity columns of the fill (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .complexes import HomologyReport, SubcomplexSpec
 from .presentations import Presentation
 from .words import Word
@@ -31,21 +30,17 @@ class NotOneFull(Exception):
     """The subcomplex does not contain the whole 1-skeleton."""
 
 
-@dataclass(frozen=True)
-class SurgeryCode:
+class SurgeryCode(Record):
     """One handle per generator; one component loop word per relator."""
 
-    n_handles: int
-    components: tuple[Word, ...]
+    __match_args__ = ("n_handles", "components")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != self.n_handles:
-            raise ValueError(
-                f"{len(self.components)} components vs {self.n_handles} handles"
-            )
-        for j, k in enumerate(self.components, start=1):
-            if k.max_index() > self.n_handles:
+    def __init__(self, n_handles: int, components: tuple[Word, ...]) -> None:
+        components = tuple(components)
+        if len(components) != n_handles:
+            raise ValueError(f"{len(components)} components vs {n_handles} handles")
+        for j, k in enumerate(components, start=1):
+            if k.max_index() > n_handles:
                 raise ValueError(f"component {j} touches a missing handle")
             sums = k.exponent_sums()
             for i in k.indices() | {j}:
@@ -55,16 +50,16 @@ class SurgeryCode:
                         f"component {j} has intersection number "
                         f"{sums.get(i, 0)} with handle {i}, expected {want}"
                     )
+        self.__dict__.update(n_handles=n_handles, components=components)
 
 
-@dataclass(frozen=True)
-class SublinkSelection:
+class SublinkSelection(Record):
     """The component indices whose disk bundles are glued back."""
 
-    fill: frozenset[int]
+    __match_args__ = ("fill",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fill", frozenset(self.fill))
+    def __init__(self, fill: frozenset[int]) -> None:
+        self.__dict__["fill"] = frozenset(fill)
 
 
 def build_surgery_code(p: Presentation) -> SurgeryCode:
@@ -118,21 +113,14 @@ def exterior_homology(sc: SurgeryCode, sel: SublinkSelection) -> HomologyReport:
 def subcomplex_to_sublink(s: SubcomplexSpec) -> SublinkSelection:
     """The unique sublink matching a 1-full subcomplex: fill = its relators."""
     if not s.is_1_full:
-        raise NotOneFull(
-            f"{len(s.gens)} of {s.ambient_gens} generators selected; "
-            "take the 1-full hull first"
-        )
-    return SublinkSelection(frozenset(s.rels))
+        raise NotOneFull(f"{len(s.gens)} of {s.ambient_gens} generators selected; take the 1-full hull first")
+    return SublinkSelection(s.rels)
 
 
-def sublink_to_subcomplex(
-    sel: SublinkSelection, n_generators: int, n_components: int
-) -> SubcomplexSpec:
+def sublink_to_subcomplex(sel: SublinkSelection, n_generators: int, n_components: int) -> SubcomplexSpec:
     """Inverse transport: the 1-full subcomplex whose relators are the fill."""
     _check_fill(sel.fill, n_components)
-    return SubcomplexSpec(
-        frozenset(range(1, n_generators + 1)), sel.fill, n_generators, n_components
-    )
+    return SubcomplexSpec(range(1, n_generators + 1), sel.fill, n_generators, n_components)
 
 
 def verify_meridian_correspondence(sc: SurgeryCode, p: Presentation) -> bool:

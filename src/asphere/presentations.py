@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
+from ._record import Record
 from .intmat import (
     ElementaryOp,
     NegateRow,
@@ -39,23 +39,19 @@ class DanglingRelator(ValueError):
     """A selected relator uses an unselected generator."""
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators 1..n_generators plus an ordered relator list."""
 
-    n_generators: int
-    relators: tuple[Word, ...] = ()
+    __match_args__ = ("n_generators", "relators")
 
-    def __post_init__(self) -> None:
-        if self.n_generators < 0:
+    def __init__(self, n_generators: int, relators: tuple[Word, ...] = ()) -> None:
+        if n_generators < 0:
             raise ValueError("generator count must be nonnegative")
-        object.__setattr__(self, "relators", tuple(self.relators))
-        for j, r in enumerate(self.relators, start=1):
-            if r.max_index() > self.n_generators:
-                raise ValueError(
-                    f"relator {j} uses generator {r.max_index()} beyond window "
-                    f"of {self.n_generators}"
-                )
+        relators = tuple(relators)
+        for j, r in enumerate(relators, start=1):
+            if r.max_index() > n_generators:
+                raise ValueError(f"relator {j} uses generator {r.max_index()} beyond window of {n_generators}")
+        self.__dict__.update(n_generators=n_generators, relators=relators)
 
     @property
     def balanced(self) -> bool:
@@ -91,15 +87,11 @@ def is_homology_trivial_unit(p: Presentation) -> bool:
     callers that need it.
     """
     if len(p.relators) != p.n_generators:
-        raise WindowMismatch(
-            f"{len(p.relators)} relators vs {p.n_generators} generators"
-        )
+        raise WindowMismatch(f"{len(p.relators)} relators vs {p.n_generators} generators")
     return exponent_matrix(p).is_identity()
 
 
-def subpresentation(
-    p: Presentation, gens: Iterable[int], rels: Iterable[int]
-) -> Presentation:
+def subpresentation(p: Presentation, gens: Iterable[int], rels: Iterable[int]) -> Presentation:
     """Sub-presentation on selected generator/relator indices, re-indexed.
 
     Selected generators are renumbered 1..k in increasing order; raises
@@ -125,9 +117,7 @@ def _check_closed(p: Presentation, gens: AbstractSet[int], rels: Iterable[int]) 
     for j in sorted(rels):
         missing = p.relators[j - 1].indices() - gens
         if missing:
-            raise DanglingRelator(
-                f"relator {j} uses unselected generator {min(missing)}"
-            )
+            raise DanglingRelator(f"relator {j} uses unselected generator {min(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +147,13 @@ def lift_row_ops(log: RowOpLog) -> BaseChange:
     return BaseChange(tuple(moves))
 
 
-@dataclass(frozen=True)
-class NormalizationCertificate:
+class NormalizationCertificate(Record):
     """Invertible base change carrying a presentation to identity exponents."""
 
-    base_change: BaseChange
-    new_relators: tuple[Word, ...]
-    exponent_check: bool
+    __match_args__ = ("base_change", "new_relators", "exponent_check")
+
+    def __init__(self, base_change: BaseChange, new_relators: tuple[Word, ...], exponent_check: bool) -> None:
+        self.__dict__.update(base_change=base_change, new_relators=new_relators, exponent_check=exponent_check)
 
 
 def normalize(p: Presentation) -> NormalizationCertificate:
@@ -199,11 +189,13 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ParsedPresentation:
-    presentation: Presentation
-    gen_names: tuple[str, ...] | None
-    rel_names: tuple[str, ...]
+class ParsedPresentation(Record):
+    __match_args__ = ("presentation", "gen_names", "rel_names")
+
+    def __init__(
+        self, presentation: Presentation, gen_names: tuple[str, ...] | None, rel_names: tuple[str, ...]
+    ) -> None:
+        self.__dict__.update(presentation=presentation, gen_names=gen_names, rel_names=rel_names)
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -270,9 +262,7 @@ def parse_presentation_text(text: str) -> ParsedPresentation:
 
     if n_generators is None:
         raise ParseError("missing gens: line", 1, 1)
-    return ParsedPresentation(
-        Presentation(n_generators, tuple(relators)), gen_names, tuple(rel_names)
-    )
+    return ParsedPresentation(Presentation(n_generators, relators), gen_names, tuple(rel_names))
 
 
 def presentation_to_text(

@@ -14,11 +14,13 @@ finite group.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from ._record import Record
 from .intmat import SparseIntMatrix, _kernel_rows, mat_vec, rank
 from .presentations import Presentation, exponent_matrix
 from .words import Word
+
+MAX_TABLE_CELLS = 10_000_000  # limit x 2n: the most cells a coset table may reach
 
 
 class IncompleteTable(Exception):
@@ -30,8 +32,7 @@ def _column(x: int) -> int:
     return 2 * abs(x) - (2 if x > 0 else 1)
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Record):
     """Permutation action of the generators on cosets of the trivial
     subgroup; complete tables enumerate the whole finite group.
 
@@ -40,10 +41,12 @@ class CosetTable:
     "overflow"; only complete tables carry an action.
     """
 
-    n_generators: int
-    status: str
-    n_cosets: int
-    action: tuple[tuple[int, ...], ...] = ()
+    __match_args__ = ("n_generators", "status", "n_cosets", "action")
+
+    def __init__(
+        self, n_generators: int, status: str, n_cosets: int, action: tuple[tuple[int, ...], ...] = ()
+    ) -> None:
+        self.__dict__.update(n_generators=n_generators, status=status, n_cosets=n_cosets, action=action)
 
     @property
     def is_complete(self) -> bool:
@@ -62,12 +65,15 @@ def coset_enumerate(p: Presentation, limit: int) -> CosetTable:
 
     Relators are scanned coset by coset in definition order, filling and
     recording deductions; remaining undefined slots are then defined in
-    lexicographic column order.  Coincidences are merged eagerly.
+    lexicographic column order.  Coincidences are merged eagerly.  A
+    table of more than MAX_TABLE_CELLS cells raises before any is built.
     """
-    if limit < 1:
-        raise ValueError("limit must be positive")
     n = p.n_generators
     ncols = 2 * n
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    if limit * ncols > MAX_TABLE_CELLS:
+        raise ValueError(f"limit {limit} x {ncols} table columns is more than {MAX_TABLE_CELLS} cells")
     rels = [[_column(x) for x in w] for w in p.relators]
 
     table: list[list[int | None]] = [[None] * ncols]
@@ -167,9 +173,7 @@ def coset_enumerate(p: Presentation, limit: int) -> CosetTable:
 
     live = [k for k in range(len(table)) if rep(k) == k]
     renumber = {k: idx for idx, k in enumerate(live, start=1)}
-    action = tuple(
-        tuple(renumber[rep(table[k][x])] for x in range(ncols)) for k in live
-    )
+    action = tuple(tuple(renumber[rep(table[k][x])] for x in range(ncols)) for k in live)
     return CosetTable(n, "complete", len(live), action)
 
 
@@ -229,15 +233,15 @@ def lifted_boundary(p: Presentation, t: CosetTable) -> SparseIntMatrix:
 # Verdicts.
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """`status` is "aspherical", "not_aspherical", or "inconclusive"."""
 
-    status: str
-    cosets: int | None
-    kernel_rank: int | None
-    witness: tuple[int, ...] | None
-    reason: str
+    __match_args__ = ("status", "cosets", "kernel_rank", "witness", "reason")
+
+    def __init__(
+        self, status: str, cosets: int | None, kernel_rank: int | None, witness: tuple[int, ...] | None, reason: str
+    ) -> None:
+        self.__dict__.update(status=status, cosets=cosets, kernel_rank=kernel_rank, witness=witness, reason=reason)
 
     def to_json(self) -> dict:
         return {
@@ -276,9 +280,7 @@ def asphericity_verdict(p: Presentation, limit: int) -> Verdict:
         return _INFINITE
     t = coset_enumerate(p, limit)
     if not t.is_complete:
-        return Verdict(
-            "inconclusive", None, None, None, f"coset enumeration exceeded limit {limit}"
-        )
+        return Verdict("inconclusive", None, None, None, f"coset enumeration exceeded limit {limit}")
     boundary = lifted_boundary(p, t)
     r, kernel = _kernel_rows(boundary)
     euler = t.n_cosets * (1 - p.n_generators + len(p.relators)) - 1
@@ -287,9 +289,7 @@ def asphericity_verdict(p: Presentation, limit: int) -> Verdict:
             f"kernel rank {len(kernel)} breaks the Euler identity |G|.chi - 1 = {euler}"
         )
     if not kernel:
-        return Verdict(
-            "aspherical", 1, 0, None, "trivial group and injective lifted boundary"
-        )
+        return Verdict("aspherical", 1, 0, None, "trivial group and injective lifted boundary")
     witness = tuple(kernel[0].get(r + j, 0) for j in range(boundary.cols))
     if any(mat_vec(boundary, witness)):
         raise AssertionError("kernel witness failed re-multiplication")

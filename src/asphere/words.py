@@ -10,10 +10,11 @@ generator index once, cached outside the fields that == and hash see.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from ._record import Record
 
 
 def _free_reduce(raw: Iterable[int]) -> tuple[int, ...]:
@@ -26,16 +27,15 @@ def _free_reduce(raw: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A freely reduced word.  The empty word is the group identity."""
 
-    letters: tuple[int, ...] = ()
+    __match_args__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        if 0 in self.letters:
+    def __init__(self, letters: tuple[int, ...] = ()) -> None:
+        if 0 in letters:
             raise ValueError("a letter must be a nonzero int")
-        object.__setattr__(self, "letters", _free_reduce(self.letters))
+        self.__dict__["letters"] = _free_reduce(letters)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Word":
@@ -176,41 +176,39 @@ def word_to_text(w: Word, names: Sequence[str] | None = None) -> str:
 # Nielsen transformations and base changes.
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(Record):
     """Exchange the generators g<i> and g<j>."""
 
-    i: int
-    j: int
+    __match_args__ = ("i", "j")
 
-    def __post_init__(self) -> None:
-        if self.i < 1 or self.j < 1:
+    def __init__(self, i: int, j: int) -> None:
+        if i < 1 or j < 1:
             raise ValueError("generator indices must be >= 1")
+        self.__dict__.update(i=i, j=j)
 
 
-@dataclass(frozen=True)
-class Invert:
+class Invert(Record):
     """Replace g<i> by its inverse."""
 
-    i: int
+    __match_args__ = ("i",)
 
-    def __post_init__(self) -> None:
-        if self.i < 1:
+    def __init__(self, i: int) -> None:
+        if i < 1:
             raise ValueError("generator index must be >= 1")
+        self.__dict__["i"] = i
 
 
-@dataclass(frozen=True)
-class RightMultiply:
+class RightMultiply(Record):
     """Replace g<i> by g<i> g<j>, with i != j."""
 
-    i: int
-    j: int
+    __match_args__ = ("i", "j")
 
-    def __post_init__(self) -> None:
-        if self.i < 1 or self.j < 1:
+    def __init__(self, i: int, j: int) -> None:
+        if i < 1 or j < 1:
             raise ValueError("generator indices must be >= 1")
-        if self.i == self.j:
+        if i == j:
             raise ValueError("RightMultiply requires distinct indices")
+        self.__dict__.update(i=i, j=j)
 
 
 NielsenMove = Union[Swap, Invert, RightMultiply]
@@ -241,11 +239,13 @@ def move_inverse(move: NielsenMove) -> tuple[NielsenMove, ...]:
     return (Invert(move.j), RightMultiply(move.i, move.j), Invert(move.j))
 
 
-@dataclass(frozen=True)
-class BaseChange:
+class BaseChange(Record):
     """A finite, invertible sequence of Nielsen moves."""
 
-    moves: tuple[NielsenMove, ...] = ()
+    __match_args__ = ("moves",)
+
+    def __init__(self, moves: tuple[NielsenMove, ...] = ()) -> None:
+        self.__dict__["moves"] = moves
 
     def inverse(self) -> "BaseChange":
         inverted: list[NielsenMove] = []

@@ -557,8 +557,16 @@ class TestIntakeBounds:
             ),
             (["--window", "-1", "check"], "p.txt", UNIT, "error: --window must be nonnegative"),
             (["--window", "-1", "homology"], "p.txt", UNIT, "error: --window must be nonnegative"),
+            # 2,000 involutions: H1 is all torsion, so the probe would build
+            # a coset table of 4,000 columns and up to 1,000,000 rows.
+            (
+                ["pi2probe", "--limit", "1000000"],
+                "p.txt",
+                "gens: 2000\n" + "".join(f"rel r{i}: g{i}^2\n" for i in range(1, 2001)),
+                "error: limit 1000000 x 4000 table columns is more than 10000000 cells",
+            ),
         ],
-        ids=["generators", "letters", "matrix-side", "negative-window", "negative-window-homology"],
+        ids=["generators", "letters", "matrix-side", "negative-window", "negative-window-homology", "table-cells"],
     )
     def test_oversized_or_negative_input_exits_2_naming_its_bound(self, run, tmp_path, argv, name, text, error):
         assert run(*argv, write(tmp_path, name, text)) == (2, "", error + "\n")
@@ -883,6 +891,15 @@ class TestFootprint:
         report, modules = proc.stdout.splitlines()
         assert modules == loaded
         assert json.loads(report)["inputs"] == {f: hashlib.sha256(UNIT.encode()).hexdigest()}
+
+    def test_cold_start_loads_no_code_generator(self):
+        """A fresh `import asphere.cli` loads neither `dataclasses` nor the
+        `inspect` under it: the value classes are `Record`s, built without
+        generated code."""
+        code = "import sys\nimport asphere.cli\nprint(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_commands_leave_no_cyclic_garbage(self, tmp_path):
         """Garbage in a reference cycle lives until a collection and inflates

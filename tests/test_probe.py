@@ -21,6 +21,7 @@ from asphere import (
     lifted_boundary,
 )
 from asphere.intmat import kernel_basis, mat_vec, rank
+from asphere.probe import MAX_TABLE_CELLS
 from asphere.words import parse_word
 
 from support import fox_lifted_boundary, random_word
@@ -154,6 +155,15 @@ class TestCosetEnumeration:
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError):
             coset_enumerate(Presentation(1), 0)
+
+    def test_table_cells_are_bounded(self):
+        # A limit x 2n at the bound enumerates Z/2 in two rows; one row past
+        # it raises, however few cosets the group has.
+        at_bound = MAX_TABLE_CELLS // 2
+        t = coset_enumerate(P(1, "g1^2"), at_bound)
+        assert t.is_complete and t.n_cosets == 2
+        with pytest.raises(ValueError, match=f"^limit {at_bound + 1} x 2 table columns is more than 10000000 cells$"):
+            coset_enumerate(P(1, "g1^2"), at_bound + 1)
 
     def test_relators_act_trivially(self):
         for p in (P(1, "g1^5"), P(2, "g1^2", "g2^3", "g1 g2 g1 g2")):

@@ -34,6 +34,23 @@ def test_pipeline_demo_runs():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_cold_start_times_each_tree():
+    src = str(ROOT / "src")
+    bytecode = set((ROOT / "src").rglob("*.pyc"))
+    result = run_script("cold_start.py", "--src", src, "--runs", "1")
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("median of 1 alternated fresh processes; bare interpreter ")
+    assert lines[1].split() == ["tree", "step", "no", "bytecode", "cached"]
+    assert [line.split()[:3] for line in lines[2:]] == [
+        [src, "import", "process"],
+        [src, "check", "process"],
+        [src, "import", "alone"],
+    ]
+    assert all(line.endswith(" ms") and line.count(" ms") == 2 for line in lines[2:])
+    assert set((ROOT / "src").rglob("*.pyc")) == bytecode  # nothing written into the checkout
+
+
 # Digests of this tree's reports and written files at seed 1, checked on
 # Python 3.11.  A change that alters a report on purpose updates its pin and
 # says so.
